@@ -5,10 +5,9 @@ averaging, decimation, or a precomputed file), upscales it back with each
 configured algorithm at each ratio, times the resize alone, and scores the
 result against the reference with MSE/PSNR/SSIM.
 
-Timed sections always run exclusively. Scoring may be parallelized across
-a thread pool capped by the TETRA_THREADS environment variable (default 1);
-scores are computed from an untimed run whose output is verified to be
-bit-identical to the timed runs.
+Timed sections always run exclusively; each record is scored serially
+right after its timing. Scores are computed from an untimed warm-up run
+whose output is verified to be bit-identical to the timed runs.
 
 Precomputed low-resolution inputs are looked up as
 ``corpus_dir/x{ratio}/<same filename>``.
@@ -16,14 +15,12 @@ Precomputed low-resolution inputs are looked up as
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import json
 import math
-import os
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,17 +30,6 @@ from .interpolate import INTENSITY_DOMAINS, SCHEMES, resize
 from .metrics import mse, psnr, ssim
 
 DOWNSAMPLERS = ("box", "decimate", "precomputed")
-
-RECORDS_HEADER = ["image_id", "algorithm", "ratio", "mse", "psnr", "ssim", "elapsed_s"]
-AGGREGATES_HEADER = [
-    "algorithm",
-    "ratio",
-    "mean_mse",
-    "mean_psnr",
-    "mean_ssim",
-    "mean_elapsed_s",
-    "image_count",
-]
 
 
 @dataclass
@@ -109,6 +95,10 @@ class AggregateRow:
     image_count: int
 
 
+RECORDS_HEADER = [f.name for f in fields(BenchRecord)]
+AGGREGATES_HEADER = [f.name for f in fields(AggregateRow)]
+
+
 def downsample(image: GrayImage, factor: int, method: str = "box") -> GrayImage:
     """Shrink by an integer factor: block mean ("box") or top-left sample
     of each block ("decimate"). Dimensions must be divisible by the factor."""
@@ -126,12 +116,21 @@ def downsample(image: GrayImage, factor: int, method: str = "box") -> GrayImage:
     raise ValueError(f"unknown downsample method {method!r}")
 
 
-def _timed_resize(image, ratio, scheme, repetitions, intensity_domain):
-    """Warm-up run (kept for scoring), then timed repetitions.
+def time_algorithm(
+    image: GrayImage,
+    ratio: float,
+    scheme: str,
+    repetitions: int = 3,
+    intensity_domain: str = "raw",
+) -> tuple[float, GrayImage]:
+    """Time ``repetitions`` resize runs after one untimed warm-up run.
 
-    Returns (median seconds, warm-up output). Each timed output is checked,
-    outside the timed window, to be bit-identical to the warm-up output.
+    Returns ``(median_seconds, warm_up_output)``. Each timed output is
+    checked, outside the timed window, to be bit-identical to the warm-up
+    output.
     """
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
     reference = resize(image, ratio, scheme, intensity_domain)
     times = []
     for _ in range(repetitions):
@@ -144,20 +143,6 @@ def _timed_resize(image, ratio, scheme, repetitions, intensity_domain):
                 f"nondeterministic output from {scheme} at ratio {ratio}"
             )
     return statistics.median(times), reference
-
-
-def time_algorithm(
-    image: GrayImage,
-    ratio: float,
-    scheme: str,
-    repetitions: int = 3,
-    intensity_domain: str = "raw",
-) -> float:
-    """Median wall-clock seconds of ``repetitions`` resize runs (one untimed
-    warm-up first)."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    return _timed_resize(image, ratio, scheme, repetitions, intensity_domain)[0]
 
 
 def discover_corpus(corpus_dir) -> list:
@@ -185,18 +170,6 @@ def _lowres_input(config: BenchConfig, path: Path, reference: GrayImage, ratio: 
     return downsample(reference, ratio, config.downsampler)
 
 
-def _score(reference: GrayImage, output: GrayImage):
-    return mse(reference, output), psnr(reference, output), ssim(reference, output)
-
-
-def _scoring_threads() -> int:
-    raw = os.environ.get("TETRA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"TETRA_THREADS must be an integer, got {raw!r}")
-
-
 def run_benchmark(config: BenchConfig):
     """Run the full protocol. Returns (records, aggregates).
 
@@ -205,52 +178,37 @@ def run_benchmark(config: BenchConfig):
     identical rows apart from the timings.
     """
     files = discover_corpus(config.corpus_dir)
-    threads = _scoring_threads()
-    pool = (
-        concurrent.futures.ThreadPoolExecutor(max_workers=threads)
-        if threads > 1
-        else None
-    )
     records = []
     images_dir = config.output_dir / "images"
     if config.save_images:
         images_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        for path in files:
-            reference = load_image(path)
-            image_id = path.stem
-            pending = []  # (algorithm, ratio, elapsed, output)
-            for ratio in config.ratios:
-                low = _lowres_input(config, path, reference, ratio)
-                for tag in config.algorithms:
-                    elapsed, output = _timed_resize(
-                        low, ratio, tag, config.repetitions, config.intensity_domain
-                    )
-                    if (output.width, output.height) != (
-                        reference.width,
-                        reference.height,
-                    ):
-                        raise ValueError(
-                            f"{image_id}: upscaled size {output.width}x{output.height}"
-                            f" != reference {reference.width}x{reference.height}"
-                        )
-                    pending.append((tag, ratio, elapsed, output))
-            # All timing for this image is done; score (possibly in parallel).
-            if pool is not None:
-                scores = list(
-                    pool.map(lambda item: _score(reference, item[3]), pending)
+    for path in files:
+        reference = load_image(path)
+        image_id = path.stem
+        for ratio in config.ratios:
+            low = _lowres_input(config, path, reference, ratio)
+            for tag in config.algorithms:
+                elapsed, output = time_algorithm(
+                    low, ratio, tag, config.repetitions, config.intensity_domain
                 )
-            else:
-                scores = [_score(reference, item[3]) for item in pending]
-            for (tag, ratio, elapsed, output), (m, p, s) in zip(pending, scores):
+                if (output.width, output.height) != (reference.width, reference.height):
+                    raise ValueError(
+                        f"{image_id}: upscaled size {output.width}x{output.height}"
+                        f" != reference {reference.width}x{reference.height}"
+                    )
                 records.append(
-                    BenchRecord(image_id, tag, ratio, m, p, s, elapsed)
+                    BenchRecord(
+                        image_id,
+                        tag,
+                        ratio,
+                        mse(reference, output),
+                        psnr(reference, output),
+                        ssim(reference, output),
+                        elapsed,
+                    )
                 )
                 if config.save_images:
                     save_pgm(output, images_dir / f"{image_id}_{tag}_x{ratio}.pgm")
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return records, aggregate(records, config.algorithms, config.ratios)
 
 
@@ -267,46 +225,30 @@ def aggregate(records, algorithms=None, ratios=None) -> list:
             if not group:
                 continue
             n = len(group)
+            means = {
+                name: sum(getattr(r, name.removeprefix("mean_")) for r in group) / n
+                for name in AGGREGATES_HEADER
+                if name.startswith("mean_")
+            }
             rows.append(
-                AggregateRow(
-                    algorithm=tag,
-                    ratio=ratio,
-                    mean_mse=sum(r.mse for r in group) / n,
-                    mean_psnr=sum(r.psnr for r in group) / n,
-                    mean_ssim=sum(r.ssim for r in group) / n,
-                    mean_elapsed_s=sum(r.elapsed_s for r in group) / n,
-                    image_count=n,
-                )
+                AggregateRow(algorithm=tag, ratio=ratio, image_count=n, **means)
             )
     return rows
 
 
-def write_records_csv(records, path) -> None:
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RECORDS_HEADER)
-        for r in records:
-            writer.writerow(
-                [r.image_id, r.algorithm, r.ratio, r.mse, r.psnr, r.ssim, r.elapsed_s]
-            )
+        writer.writerow(header)
+        writer.writerows(astuple(row) for row in rows)
+
+
+def write_records_csv(records, path) -> None:
+    _write_csv(path, RECORDS_HEADER, records)
 
 
 def write_aggregates_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGGREGATES_HEADER)
-        for a in rows:
-            writer.writerow(
-                [
-                    a.algorithm,
-                    a.ratio,
-                    a.mean_mse,
-                    a.mean_psnr,
-                    a.mean_ssim,
-                    a.mean_elapsed_s,
-                    a.image_count,
-                ]
-            )
+    _write_csv(path, AGGREGATES_HEADER, rows)
 
 
 def _json_safe(value):
@@ -327,15 +269,7 @@ def write_summary_json(config: BenchConfig, rows, path) -> None:
             "repetitions": config.repetitions,
         },
         "aggregates": [
-            {
-                "algorithm": a.algorithm,
-                "ratio": a.ratio,
-                "mean_mse": _json_safe(a.mean_mse),
-                "mean_psnr": _json_safe(a.mean_psnr),
-                "mean_ssim": _json_safe(a.mean_ssim),
-                "mean_elapsed_s": _json_safe(a.mean_elapsed_s),
-                "image_count": a.image_count,
-            }
+            {name: _json_safe(value) for name, value in asdict(a).items()}
             for a in rows
         ],
     }

@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from .bench import (
+    DOWNSAMPLERS,
     BenchConfig,
     run_benchmark,
     write_aggregates_csv,
@@ -89,9 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--intensity-domain", choices=INTENSITY_DOMAINS, default="raw"
     )
-    p_bench.add_argument(
-        "--downsampler", choices=("box", "decimate", "precomputed"), default="box"
-    )
+    p_bench.add_argument("--downsampler", choices=DOWNSAMPLERS, default="box")
     p_bench.add_argument("--reps", type=int, default=3, help="timing repetitions")
     p_bench.add_argument(
         "--save-images", action="store_true", help="save every upscaled image"

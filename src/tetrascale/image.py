@@ -123,10 +123,10 @@ def _read_header_tokens(data: bytes, count: int, start: int) -> tuple[list[bytes
 
 
 def load_pgm(path) -> GrayImage:
-    """Load a binary PGM (P5) file with maxval <= 255.
+    """Load a binary PGM (P5) file with maxval 255.
 
     Raises FileNotFoundError for missing files and FormatError for
-    malformed headers or unsupported depths.
+    malformed headers or any other maxval (unsupported depth).
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -139,10 +139,8 @@ def load_pgm(path) -> GrayImage:
         raise FormatError(f"{path}: malformed PGM header") from exc
     if width < 1 or height < 1:
         raise FormatError(f"{path}: invalid dimensions {width}x{height}")
-    if maxval > 255:
-        raise FormatError(f"{path}: unsupported depth (maxval {maxval} > 255)")
-    if maxval < 1:
-        raise FormatError(f"{path}: invalid maxval {maxval}")
+    if maxval != 255:
+        raise FormatError(f"{path}: unsupported depth (maxval {maxval}, need 255)")
     # Exactly one whitespace byte separates the header from the raster.
     pos += 1
     needed = width * height

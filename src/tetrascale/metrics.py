@@ -48,14 +48,6 @@ def _gaussian_1d(size: int, sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
-def gaussian_window(size: int = SSIM_WINDOW_SIZE, sigma: float = SSIM_SIGMA) -> np.ndarray:
-    """Normalized 2-D Gaussian window (outer product of the 1-D kernel)."""
-    if size % 2 == 0:
-        raise ValueError(f"window size must be odd, got {size}")
-    g = _gaussian_1d(size, sigma)
-    return np.outer(g, g)
-
-
 def _smooth(arr: np.ndarray, g: np.ndarray) -> np.ndarray:
     # Separable pass; 'reflect' is symmetric padding about the edge.
     tmp = correlate1d(arr, g, axis=0, mode="reflect")

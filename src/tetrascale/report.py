@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import typing
 from pathlib import Path
 
 from .bench import AGGREGATES_HEADER, AggregateRow
@@ -24,6 +25,9 @@ _PALETTE = {
     "AC": "#b07aa1",
 }
 _FALLBACK_COLOR = "#9c9c9c"
+
+#: Column name -> the type its text is parsed into.
+_COLUMN_TYPES = typing.get_type_hints(AggregateRow)
 
 #: (attribute, chart file stem, title, y-axis label, better)
 CHART_SPECS = (
@@ -51,19 +55,13 @@ def read_aggregates_csv(path) -> list:
             if not row:
                 continue
             try:
-                rows.append(
-                    AggregateRow(
-                        algorithm=row[0],
-                        ratio=int(row[1]),
-                        mean_mse=float(row[2]),
-                        mean_psnr=float(row[3]),
-                        mean_ssim=float(row[4]),
-                        mean_elapsed_s=float(row[5]),
-                        image_count=int(row[6]),
-                    )
-                )
-            except (IndexError, ValueError) as exc:
+                values = {
+                    name: _COLUMN_TYPES[name](text)
+                    for name, text in zip(header, row, strict=True)
+                }
+            except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: malformed row {row!r}") from exc
+            rows.append(AggregateRow(**values))
     if not rows:
         raise ValueError(f"{path}: no aggregate rows")
     return rows

@@ -32,10 +32,6 @@ EPSILON = 1e-12
 _QUARTER_PI = math.pi / 4.0
 
 
-class DegenerateWeightsError(ValueError):
-    """Raw weights sum to (numerically) zero; normalization is undefined."""
-
-
 def corner_sides(dx, dy):
     """Side lengths (a, b) of the tetragon opposite each corner.
 
@@ -48,20 +44,6 @@ def corner_sides(dx, dy):
         (1.0 - dx, dy),
         (dx, dy),
     )
-
-
-def normalize(raw):
-    """Divide each entry of a non-negative tuple by the tuple's sum.
-
-    Raises DegenerateWeightsError if any sum is below EPSILON (for array
-    inputs: if any element position is degenerate).
-    """
-    total = raw[0]
-    for w in raw[1:]:
-        total = total + w
-    if np.any(np.asarray(total) < EPSILON):
-        raise DegenerateWeightsError("weight sum below epsilon")
-    return tuple(w / total for w in raw)
 
 
 def _normalized_or_tetragon(raw, dx, dy):

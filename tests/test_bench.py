@@ -1,12 +1,16 @@
 import csv
+import math
 
 import numpy as np
 import pytest
 
 from tetrascale import (
+    AggregateRow,
     BenchConfig,
+    BenchRecord,
     GrayImage,
     downsample,
+    resize,
     run_benchmark,
     save_pgm,
     time_algorithm,
@@ -20,6 +24,7 @@ from tetrascale.bench import (
     write_records_csv,
     write_summary_json,
 )
+from tetrascale.report import read_aggregates_csv
 import tetrascale.bench as bench_mod
 
 from conftest import constant_image
@@ -67,19 +72,22 @@ class TestDownsample:
 
 class TestTimeAlgorithm:
     def test_single_repetition(self, random_image):
-        elapsed = time_algorithm(random_image(8, 8), 2, "TB", repetitions=1)
+        elapsed, output = time_algorithm(random_image(8, 8), 2, "TB", repetitions=1)
         assert elapsed > 0.0
+        assert (output.width, output.height) == (16, 16)
 
     def test_positive_for_all_schemes(self, random_image):
         img = random_image(8, 8)
         for scheme in ("TN", "TC", "AC"):
-            assert time_algorithm(img, 2, scheme, repetitions=2) > 0.0
+            elapsed, output = time_algorithm(img, 2, scheme, repetitions=2)
+            assert elapsed > 0.0
+            assert output == resize(img, 2, scheme)
 
     def test_returns_median_of_repetitions(self, monkeypatch, random_image):
         # tic/toc pairs yielding durations 0.01, 0.03, 0.02 -> median 0.02
         ticks = iter([0.0, 0.01, 0.1, 0.13, 0.2, 0.22])
         monkeypatch.setattr(bench_mod.time, "perf_counter", lambda: next(ticks))
-        elapsed = time_algorithm(random_image(4, 4), 2, "TN", repetitions=3)
+        elapsed, _ = time_algorithm(random_image(4, 4), 2, "TN", repetitions=3)
         assert elapsed == pytest.approx(0.02)
 
     def test_rejects_zero_repetitions(self, random_image):
@@ -169,26 +177,6 @@ class TestRunBenchmark:
             assert agg.mean_ssim == pytest.approx(
                 sum(r.ssim for r in group) / 3, rel=1e-12
             )
-
-    def test_scores_identical_across_thread_caps(self, tmp_path, monkeypatch):
-        corpus = make_corpus(tmp_path / "c", 2, size=16)
-
-        def run(threads):
-            monkeypatch.setenv("TETRA_THREADS", threads)
-            cfg = BenchConfig(
-                corpus_dir=corpus,
-                output_dir=tmp_path / f"out{threads}",
-                ratios=(2,),
-                algorithms=("TB", "AC"),
-                repetitions=1,
-            )
-            return run_benchmark(cfg)[0]
-
-        serial = run("1")
-        threaded = run("4")
-        assert [(r.image_id, r.algorithm, r.mse, r.psnr, r.ssim) for r in serial] == [
-            (r.image_id, r.algorithm, r.mse, r.psnr, r.ssim) for r in threaded
-        ]
 
     def test_reference_not_divisible_by_ratio(self, tmp_path):
         corpus = tmp_path / "c"
@@ -323,3 +311,122 @@ class TestDeterminism:
         assert strip_column(agg1, "mean_elapsed_s") == strip_column(
             agg2, "mean_elapsed_s"
         )
+
+
+GOLDEN_RECORDS = [
+    BenchRecord("a", "TB", 2, 12.5, 37.161, 0.91, 0.001),
+    BenchRecord("b", "TB", 2, 0.0, math.inf, 1.0, 0.003),
+    BenchRecord("a", "TC", 2, 1 / 3, 52.9, 0.935, 2e-05),
+    BenchRecord("a", "TB", 4, 40.0, 32.11, 0.75, 0.0005),
+]
+
+GOLDEN_RECORDS_CSV = (
+    b"image_id,algorithm,ratio,mse,psnr,ssim,elapsed_s\r\n"
+    b"a,TB,2,12.5,37.161,0.91,0.001\r\n"
+    b"b,TB,2,0.0,inf,1.0,0.003\r\n"
+    b"a,TC,2,0.3333333333333333,52.9,0.935,2e-05\r\n"
+    b"a,TB,4,40.0,32.11,0.75,0.0005\r\n"
+)
+
+# mean_ssim 0.9550000000000001 pins the summation order: (0.91 + 1.0) / 2.
+GOLDEN_AGGREGATES_CSV = (
+    b"algorithm,ratio,mean_mse,mean_psnr,mean_ssim,mean_elapsed_s,image_count\r\n"
+    b"TB,2,6.25,inf,0.9550000000000001,0.002,2\r\n"
+    b"TB,4,40.0,32.11,0.75,0.0005,1\r\n"
+    b"TC,2,0.3333333333333333,52.9,0.935,2e-05,1\r\n"
+)
+
+GOLDEN_SUMMARY_JSON = b"""{
+  "config": {
+    "corpus_dir": "corpus",
+    "output_dir": "out",
+    "ratios": [
+      2,
+      4
+    ],
+    "algorithms": [
+      "TB",
+      "TC"
+    ],
+    "intensity_domain": "raw",
+    "downsampler": "box",
+    "repetitions": 3
+  },
+  "aggregates": [
+    {
+      "algorithm": "TB",
+      "ratio": 2,
+      "mean_mse": 6.25,
+      "mean_psnr": "inf",
+      "mean_ssim": 0.9550000000000001,
+      "mean_elapsed_s": 0.002,
+      "image_count": 2
+    },
+    {
+      "algorithm": "TB",
+      "ratio": 4,
+      "mean_mse": 40.0,
+      "mean_psnr": 32.11,
+      "mean_ssim": 0.75,
+      "mean_elapsed_s": 0.0005,
+      "image_count": 1
+    },
+    {
+      "algorithm": "TC",
+      "ratio": 2,
+      "mean_mse": 0.3333333333333333,
+      "mean_psnr": 52.9,
+      "mean_ssim": 0.935,
+      "mean_elapsed_s": 2e-05,
+      "image_count": 1
+    }
+  ]
+}
+"""
+
+
+class TestGoldenOutputs:
+    """Exact bytes of every bench output file for a fixed list of records."""
+
+    def test_records_csv_bytes(self, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records_csv(GOLDEN_RECORDS, path)
+        assert path.read_bytes() == GOLDEN_RECORDS_CSV
+
+    def test_aggregates_csv_bytes(self, tmp_path):
+        path = tmp_path / "aggregates.csv"
+        write_aggregates_csv(aggregate(GOLDEN_RECORDS), path)
+        assert path.read_bytes() == GOLDEN_AGGREGATES_CSV
+
+    def test_summary_json_bytes(self, tmp_path):
+        cfg = BenchConfig(
+            corpus_dir="corpus",
+            output_dir="out",
+            ratios=(2, 4),
+            algorithms=("TB", "TC"),
+            save_images=True,
+        )
+        path = tmp_path / "summary.json"
+        write_summary_json(cfg, aggregate(GOLDEN_RECORDS), path)
+        assert path.read_bytes() == GOLDEN_SUMMARY_JSON
+
+    def test_aggregates_csv_round_trips(self, tmp_path):
+        rows = aggregate(GOLDEN_RECORDS)
+        path = tmp_path / "aggregates.csv"
+        write_aggregates_csv(rows, path)
+        back = read_aggregates_csv(path)
+        assert len(back) == len(rows)
+        for got, want in zip(back, rows):
+            assert isinstance(got, AggregateRow)
+            for name in AGGREGATES_HEADER:
+                assert getattr(got, name) == getattr(want, name), name
+                assert type(getattr(got, name)) is type(getattr(want, name)), name
+
+    @pytest.mark.parametrize(
+        "row", ["TB,2,6.25,inf,0.955,0.002", "TB,2,6.25,inf,0.955,0.002,2,9"]
+    )
+    def test_wrong_column_count_rejected(self, tmp_path, row):
+        path = tmp_path / "aggregates.csv"
+        path.write_text(",".join(AGGREGATES_HEADER) + "\n" + row + "\n")
+        with pytest.raises(ValueError, match="malformed row"):
+            read_aggregates_csv(path)

@@ -60,6 +60,14 @@ class TestResizeCommand:
                      "--ratio", "2", "--scheme", "TB"])
         assert code == 3
 
+    def test_small_maxval_pgm_is_data_error(self, tmp_path):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5\n2 1\n15\n" + bytes([200, 15]))
+        code = main(["resize", str(bad), str(tmp_path / "o.pgm"),
+                     "--ratio", "2", "--scheme", "TB"])
+        assert code == 3
+        assert not (tmp_path / "o.pgm").exists()
+
 
 class TestMetricsCommand:
     def test_identical_files(self, tmp_path, sample_pgm, capsys):

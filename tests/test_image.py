@@ -63,6 +63,13 @@ class TestPgm:
         with pytest.raises(FormatError, match="unsupported depth"):
             load_pgm(path)
 
+    def test_small_maxval_rejected(self, tmp_path):
+        # A sample above maxval (200 > 15) must not load as a silent 200.
+        path = tmp_path / "t.pgm"
+        path.write_bytes(b"P5\n2 1\n15\n" + bytes([200, 15]))
+        with pytest.raises(FormatError, match="unsupported depth"):
+            load_pgm(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_pgm(tmp_path / "nope.pgm")
@@ -156,29 +163,7 @@ class TestGetClamped:
                 assert get_clamped(img, col, row) == img.pixels[row, col]
 
 
-class TestPngLoading:
-    pil = pytest.importorskip("PIL.Image")
-
-    def test_grayscale_png(self, tmp_path, random_image):
-        img = random_image(12, 10)
-        path = tmp_path / "g.png"
-        self.pil.fromarray(np.asarray(img.pixels)).save(path)
-        assert load_image(path) == img
-
-    def test_rgb_png_converts_via_luma(self, tmp_path):
-        rgb = np.zeros((1, 1, 3), dtype=np.uint8)
-        rgb[0, 0] = (255, 0, 0)
-        path = tmp_path / "c.png"
-        self.pil.fromarray(rgb, mode="RGB").save(path)
-        assert load_image(path).samples[0] == 76
-
-    def test_unsupported_mode_rejected(self, tmp_path):
-        rgba = np.zeros((2, 2, 4), dtype=np.uint8)
-        path = tmp_path / "a.png"
-        self.pil.fromarray(rgba, mode="RGBA").save(path)
-        with pytest.raises(FormatError, match="unsupported PNG mode"):
-            load_image(path)
-
+class TestLoadImage:
     def test_unknown_extension(self, tmp_path):
         path = tmp_path / "x.bmp"
         path.write_bytes(b"")

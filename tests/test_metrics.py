@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tetrascale import GrayImage, mse, psnr, ssim
-from tetrascale.metrics import _ssim_map, gaussian_window
+from tetrascale.metrics import SSIM_SIGMA, SSIM_WINDOW_SIZE, _gaussian_1d, _ssim_map
 
 from conftest import constant_image
 
@@ -52,22 +52,23 @@ class TestPsnr:
 
 
 class TestGaussianWindow:
-    def test_sums_to_one(self):
-        assert abs(gaussian_window().sum() - 1.0) <= 1e-12
+    """The 1-D kernel SSIM applies along each axis."""
 
-    def test_center_is_maximum(self):
-        win = gaussian_window()
-        assert win[5, 5] == win.max()
+    @pytest.fixture
+    def kernel(self):
+        return _gaussian_1d(SSIM_WINDOW_SIZE, SSIM_SIGMA)
 
-    def test_fourfold_symmetry(self):
-        win = gaussian_window()
+    def test_sums_to_one(self, kernel):
+        assert abs(kernel.sum() - 1.0) <= 1e-12
+
+    def test_center_is_maximum(self, kernel):
+        assert kernel[SSIM_WINDOW_SIZE // 2] == kernel.max()
+
+    def test_fourfold_symmetry(self, kernel):
+        win = np.outer(kernel, kernel)
         assert np.allclose(win, win.T, atol=0)
         assert np.allclose(win, win[::-1, :], atol=1e-16)
         assert np.allclose(win, win[:, ::-1], atol=1e-16)
-
-    def test_even_size_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_window(10, 1.5)
 
 
 class TestSsim:

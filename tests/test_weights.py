@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetrascale.weights import (
-    DegenerateWeightsError,
     ac_areas,
     ac_weights,
     at_areas,
@@ -16,7 +15,6 @@ from tetrascale.weights import (
     hr_weights,
     md_areas,
     md_weights,
-    normalize,
     tetragon_weights,
 )
 
@@ -50,18 +48,6 @@ class TestCornerSides:
             tw = tetragon_weights(dx, dy)
             for (a, b), w in zip(sides, tw):
                 assert abs(a * b - w) < 1e-15
-
-
-class TestNormalize:
-    def test_three_tuple(self):
-        assert normalize((2.0, 3.0, 5.0)) == (0.2, 0.3, 0.5)
-
-    def test_uniform(self):
-        assert normalize((1.0, 1.0, 1.0, 1.0)) == (0.25, 0.25, 0.25, 0.25)
-
-    def test_zero_sum_signals_degenerate(self):
-        with pytest.raises(DegenerateWeightsError):
-            normalize((0.0, 0.0, 0.0, 0.0))
 
 
 class TestTetragon:
