@@ -10,11 +10,7 @@ from .image import FormatError, GrayImage, load_image, load_pgm, save_pgm, to_gr
 from .interpolate import (
     INTENSITY_DOMAINS,
     SCHEMES,
-    WEIGHTED_SCHEMES,
     resize,
-    resize_bicubic,
-    resize_nearest,
-    resize_weighted,
 )
 from .metrics import mse, psnr, ssim
 from .bench import (
@@ -36,16 +32,12 @@ __all__ = [
     "GrayImage",
     "INTENSITY_DOMAINS",
     "SCHEMES",
-    "WEIGHTED_SCHEMES",
     "downsample",
     "load_image",
     "load_pgm",
     "mse",
     "psnr",
     "resize",
-    "resize_bicubic",
-    "resize_nearest",
-    "resize_weighted",
     "run_benchmark",
     "save_pgm",
     "ssim",

@@ -104,6 +104,7 @@ def downsample(image: GrayImage, factor: int, method: str = "box") -> GrayImage:
     of each block ("decimate"). Dimensions must be divisible by the factor."""
     if factor < 2 or int(factor) != factor:
         raise ValueError(f"factor must be an integer >= 2, got {factor!r}")
+    factor = int(factor)
     h, w = image.height, image.width
     if h % factor or w % factor:
         raise ValueError(f"dimensions {w}x{h} not divisible by factor {factor}")

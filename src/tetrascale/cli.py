@@ -37,15 +37,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _items(text: str) -> list:
+    """Non-blank items of a comma list; an empty list is a usage error."""
+    items = [item.strip() for item in text.split(",") if item.strip()]
+    if not items:
+        raise argparse.ArgumentTypeError(f"expected a non-empty comma list: {text!r}")
+    return items
+
+
 def _ratio_list(text: str) -> list:
     try:
-        return [int(item) for item in text.split(",") if item.strip()]
+        return [int(item) for item in _items(text)]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a comma list of integers: {text!r}")
 
 
 def _algorithm_list(text: str) -> list:
-    tags = [item.strip().upper() for item in text.split(",") if item.strip()]
+    tags = [item.upper() for item in _items(text)]
     for tag in tags:
         if tag not in SCHEMES:
             raise argparse.ArgumentTypeError(

@@ -5,13 +5,19 @@ normalized geometric schemes MD, HR, AT, AC. AT and AC additionally take an
 intensity domain: ``raw`` feeds corner values in [0, 255] into the weight
 geometry, ``unit`` divides them by 255 first.
 
+One table, ``_WEIGHTS``, maps every tag to how its 2x2 corner weights are
+computed (``None`` for TN and TC, which have their own paths); ``SCHEMES`` is
+its key order. ``resize`` is the one entry point: it checks the ratio, the
+tag and the intensity domain, then takes the nearest, bicubic or weighted
+path.
+
 Coordinate convention is pixel-centered: src = (dst + 0.5) / scale - 0.5.
 Boundaries replicate the edge pixel. Each output pixel is quantized once,
 rounding half away from zero and clamping to [0, 255].
 
 The per-pixel helpers (map_dst_to_src, gather_neighborhood,
-interpolate_pixel) define the semantics one pixel at a time; the resize
-functions evaluate the same formulas over whole grids with numpy.
+interpolate_pixel) define the semantics one pixel at a time; ``resize``
+evaluates the same formulas over whole grids with numpy.
 """
 
 from __future__ import annotations
@@ -24,14 +30,22 @@ import numpy as np
 from .image import GrayImage, get_clamped
 from . import weights as _w
 
+#: Tag -> ``f(dx, dy, corners, intensity_domain)`` giving the four 2x2
+#: weights, or None for the schemes with their own path (TN, TC). Entries
+#: look the ``weights`` functions up when called, not at import, so a
+#: replaced module attribute is the one that runs.
+_WEIGHTS = {
+    "TN": None,
+    "TB": lambda dx, dy, p, d: _w.tetragon_weights(dx, dy),
+    "TC": None,
+    "MD": lambda dx, dy, p, d: _w.md_weights(dx, dy),
+    "HR": lambda dx, dy, p, d: _w.hr_weights(dx, dy),
+    "AT": lambda dx, dy, p, d: _w.at_weights(dx, dy, domain_values(p, d)),
+    "AC": lambda dx, dy, p, d: _w.ac_weights(dx, dy, domain_values(p, d)),
+}
+
 #: All algorithm tags, in benchmark presentation order.
-SCHEMES = ("TN", "TB", "TC", "MD", "HR", "AT", "AC")
-
-#: Schemes that run through the 2x2 weighted-sum path.
-WEIGHTED_SCHEMES = ("TB", "MD", "HR", "AT", "AC")
-
-#: Schemes whose weights depend on corner intensities.
-INTENSITY_SCHEMES = ("AT", "AC")
+SCHEMES = tuple(_WEIGHTS)
 
 INTENSITY_DOMAINS = ("raw", "unit")
 
@@ -80,9 +94,10 @@ def interpolate_pixel(neighborhood: Neighborhood, weight_vector) -> int:
 
 
 def domain_values(values, intensity_domain: str):
-    """Corner intensities in the requested domain (raw [0,255] or unit [0,1])."""
+    """Corner intensities in the requested domain: raw [0,255] as given, or
+    unit [0,1]."""
     if intensity_domain == "raw":
-        return tuple(1.0 * v for v in values)
+        return tuple(values)
     if intensity_domain == "unit":
         return tuple(v / 255.0 for v in values)
     raise ValueError(f"unknown intensity domain {intensity_domain!r}")
@@ -90,11 +105,6 @@ def domain_values(values, intensity_domain: str):
 
 def _output_length(n: int, ratio: float) -> int:
     return max(1, int(math.floor(n * ratio + 0.5)))
-
-
-def _check_ratio(ratio):
-    if not (ratio > 0 and math.isfinite(ratio)):
-        raise ValueError(f"ratio must be a positive finite number, got {ratio!r}")
 
 
 def _axis_grid(n_in: int, n_out: int, ratio: float):
@@ -123,23 +133,10 @@ def _weighted_field(
     p3 = px[yb[:, None], xl[None, :]]
     p4 = px[yb[:, None], xr[None, :]]
 
-    dx = dxs[None, :]
-    dy = dys[:, None]
-    if scheme == "TB":
-        wv = _w.tetragon_weights(dx, dy)
-    elif scheme == "MD":
-        wv = _w.md_weights(dx, dy)
-    elif scheme == "HR":
-        wv = _w.hr_weights(dx, dy)
-    elif scheme in INTENSITY_SCHEMES:
-        values = domain_values((p1, p2, p3, p4), intensity_domain)
-        if scheme == "AT":
-            wv = _w.at_weights(dx, dy, values)
-        else:
-            wv = _w.ac_weights(dx, dy, values)
-    else:
-        raise ValueError(f"not a weighted scheme: {scheme!r}")
-    w1, w2, w3, w4 = wv
+    weights = _WEIGHTS[scheme]
+    w1, w2, w3, w4 = weights(
+        dxs[None, :], dys[:, None], (p1, p2, p3, p4), intensity_domain
+    )
     return w1 * p1 + w2 * p2 + w3 * p3 + w4 * p4
 
 
@@ -147,21 +144,8 @@ def _quantize(field: np.ndarray) -> GrayImage:
     return GrayImage(np.clip(round_half_away(field), 0, 255).astype(np.uint8))
 
 
-def resize_weighted(
-    image: GrayImage, ratio: float, scheme: str, intensity_domain: str = "raw"
-) -> GrayImage:
-    """Resize with one of the 2x2 weighting schemes (TB, MD, HR, AT, AC)."""
-    _check_ratio(ratio)
-    if scheme not in WEIGHTED_SCHEMES:
-        raise ValueError(f"unknown weighted scheme {scheme!r}")
-    if intensity_domain not in INTENSITY_DOMAINS:
-        raise ValueError(f"unknown intensity domain {intensity_domain!r}")
-    return _quantize(_weighted_field(image, ratio, scheme, intensity_domain))
-
-
-def resize_nearest(image: GrayImage, ratio: float) -> GrayImage:
+def _nearest(image: GrayImage, ratio: float) -> GrayImage:
     """Nearest-neighbor resize (source index rounds half away from zero)."""
-    _check_ratio(ratio)
     h, w = image.height, image.width
     out_w = _output_length(w, ratio)
     out_h = _output_length(h, ratio)
@@ -213,23 +197,23 @@ def _bicubic_field(image: GrayImage, ratio: float) -> np.ndarray:
     return _cubic_axis_pass(tmp, h, out_h, ratio, axis=0)
 
 
-def resize_bicubic(image: GrayImage, ratio: float) -> GrayImage:
-    """Separable 4x4 cubic-convolution resize (Keys kernel, a = -0.5)."""
-    _check_ratio(ratio)
-    return _quantize(_bicubic_field(image, ratio))
-
-
 def resize(
     image: GrayImage, ratio: float, scheme: str, intensity_domain: str = "raw"
 ) -> GrayImage:
     """Resize ``image`` by ``ratio`` with the named algorithm.
 
-    ``intensity_domain`` only affects AT and AC.
+    ``intensity_domain`` must be one of ``INTENSITY_DOMAINS`` for every
+    scheme, though only AT and AC read it. TC is the separable 4x4 Keys
+    cubic convolution (a = -0.5).
     """
+    if not (ratio > 0 and math.isfinite(ratio)):
+        raise ValueError(f"ratio must be a positive finite number, got {ratio!r}")
+    if scheme not in _WEIGHTS:
+        raise ValueError(f"unknown scheme {scheme!r} (expected one of {SCHEMES})")
+    if intensity_domain not in INTENSITY_DOMAINS:
+        raise ValueError(f"unknown intensity domain {intensity_domain!r}")
     if scheme == "TN":
-        return resize_nearest(image, ratio)
+        return _nearest(image, ratio)
     if scheme == "TC":
-        return resize_bicubic(image, ratio)
-    if scheme in WEIGHTED_SCHEMES:
-        return resize_weighted(image, ratio, scheme, intensity_domain)
-    raise ValueError(f"unknown scheme {scheme!r} (expected one of {SCHEMES})")
+        return _quantize(_bicubic_field(image, ratio))
+    return _quantize(_weighted_field(image, ratio, scheme, intensity_domain))

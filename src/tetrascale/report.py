@@ -14,16 +14,16 @@ import typing
 from pathlib import Path
 
 from .bench import AGGREGATES_HEADER, AggregateRow
+from .interpolate import SCHEMES
 
-_PALETTE = {
-    "TN": "#4e79a7",
-    "TB": "#f28e2b",
-    "TC": "#e15759",
-    "MD": "#76b7b2",
-    "HR": "#59a14f",
-    "AT": "#edc948",
-    "AC": "#b07aa1",
-}
+_PALETTE = dict(
+    zip(
+        SCHEMES,
+        ("#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f", "#edc948", "#b07aa1"),
+        strict=True,
+    )
+)
+#: Color of a tag outside SCHEMES (an aggregates CSV may name any tag).
 _FALLBACK_COLOR = "#9c9c9c"
 
 #: Column name -> the type its text is parsed into.

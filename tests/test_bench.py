@@ -64,6 +64,11 @@ class TestDownsample:
         with pytest.raises(ValueError):
             downsample(constant_image(8, 8, 0), 1)
 
+    @pytest.mark.parametrize("method", ("box", "decimate"))
+    def test_integral_float_factor(self, method, random_image):
+        img = random_image(8, 8)
+        assert downsample(img, 2.0, method) == downsample(img, 2, method)
+
     def test_box_rounds_half_up(self):
         # block mean 0.5 rounds away from zero to 1
         img = GrayImage(np.array([[0, 0], [0, 2]], dtype=np.uint8))

@@ -129,6 +129,16 @@ class TestBenchCommand:
                      "--ratios", "2,x"])
         assert code == 1
 
+    def test_empty_ratio_list_is_usage_error(self, tmp_path):
+        code = main(["bench", "--corpus", str(tmp_path), "--out", str(tmp_path / "o"),
+                     "--ratios", ","])
+        assert code == 1
+
+    def test_empty_algorithm_list_is_usage_error(self, tmp_path):
+        code = main(["bench", "--corpus", str(tmp_path), "--out", str(tmp_path / "o"),
+                     "--algorithms", ","])
+        assert code == 1
+
     def test_unknown_algorithm_is_usage_error(self, tmp_path):
         code = main(["bench", "--corpus", str(tmp_path), "--out", str(tmp_path / "o"),
                      "--algorithms", "TB,ZZ"])

@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from tetrascale import GrayImage, resize, resize_bicubic, resize_nearest, resize_weighted
+from tetrascale import GrayImage, resize
 from tetrascale.interpolate import (
-    INTENSITY_SCHEMES,
     SCHEMES,
-    WEIGHTED_SCHEMES,
     Neighborhood,
     _bicubic_field,
     _output_length,
@@ -24,6 +22,17 @@ from tetrascale.image import get_clamped
 
 from conftest import constant_image
 
+#: Tags and the ``tetrascale.weights`` function each must call, written out
+#: here rather than read from the package so a wrong mapping shows.
+WEIGHT_FUNCTIONS = {
+    "TB": "tetragon_weights",
+    "MD": "md_weights",
+    "HR": "hr_weights",
+    "AT": "at_weights",
+    "AC": "ac_weights",
+}
+WEIGHTED_SCHEMES = tuple(WEIGHT_FUNCTIONS)
+INTENSITY_SCHEMES = ("AT", "AC")
 
 # ---------------------------------------------------------------------------
 # Reference implementations (independent per-pixel oracles)
@@ -190,17 +199,17 @@ class TestCubicKernel:
 class TestNearest:
     def test_identity_at_ratio_one(self, random_image):
         img = random_image(8, 8)
-        assert resize_nearest(img, 1.0) == img
+        assert resize(img, 1.0, "TN") == img
 
     def test_single_pixel_blows_up_to_constant(self):
         img = GrayImage.from_samples(1, 1, [42])
-        out = resize_nearest(img, 4.0)
+        out = resize(img, 4.0, "TN")
         assert (out.width, out.height) == (4, 4)
         assert np.all(out.pixels == 42)
 
     def test_two_by_two_block_pattern(self):
         img = GrayImage(np.array([[0, 100], [100, 200]], dtype=np.uint8))
-        out = resize_nearest(img, 2.0)
+        out = resize(img, 2.0, "TN")
         expected = np.array(
             [
                 [0, 0, 100, 100],
@@ -216,11 +225,11 @@ class TestNearest:
 class TestBicubic:
     def test_identity_at_ratio_one(self, random_image):
         img = random_image(12, 12)
-        assert resize_bicubic(img, 1.0) == img
+        assert resize(img, 1.0, "TC") == img
 
     def test_constant_preserved(self):
         img = constant_image(8, 8, 201)
-        assert np.all(resize_bicubic(img, 3.0).pixels == 201)
+        assert np.all(resize(img, 3.0, "TC").pixels == 201)
 
     def test_reproduces_linear_ramp_in_interior(self):
         """The cubic kernel reproduces linear functions exactly (checked on
@@ -251,27 +260,19 @@ class TestWeightedResize:
     @pytest.mark.parametrize("scheme", ("TB", "MD"))
     def test_identity_at_ratio_one(self, scheme, random_image):
         img = random_image(9, 7)
-        assert resize_weighted(img, 1.0, scheme) == img
+        assert resize(img, 1.0, scheme) == img
 
     def test_hr_not_identity_at_ratio_one(self, random_image):
         img = random_image(8, 8)
-        assert resize_weighted(img, 1.0, "HR") != img
+        assert resize(img, 1.0, "HR") != img
 
     @pytest.mark.parametrize("scheme", WEIGHTED_SCHEMES)
     def test_constant_preserved(self, scheme):
         img = constant_image(6, 10, 93)
         for ratio in (2.0, 4.0):
             for domain in ("raw", "unit"):
-                out = resize_weighted(img, ratio, scheme, domain)
+                out = resize(img, ratio, scheme, domain)
                 assert np.all(out.pixels == 93)
-
-    def test_rejects_unknown_scheme(self, random_image):
-        with pytest.raises(ValueError):
-            resize_weighted(random_image(4, 4), 2.0, "TN")
-
-    def test_rejects_unknown_domain(self, random_image):
-        with pytest.raises(ValueError):
-            resize_weighted(random_image(4, 4), 2.0, "AT", "percent")
 
 
 class TestResizeDispatch:
@@ -325,3 +326,27 @@ class TestResizeDispatch:
     def test_unknown_scheme_rejected(self, random_image):
         with pytest.raises(ValueError):
             resize(random_image(4, 4), 2.0, "XX")
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_rejects_unknown_domain(self, scheme, random_image):
+        with pytest.raises(ValueError, match="intensity domain"):
+            resize(random_image(4, 4), 2.0, scheme, "percent")
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_calls_its_weight_function_once(self, scheme, rng, monkeypatch):
+        """Each weighted tag calls exactly its own ``weights`` function, looked
+        up on the module at call time; TN and TC call none. No pixel is 0, so
+        AT's all-zero fallback to tetragon weights cannot fire."""
+        calls = []
+        for name in WEIGHT_FUNCTIONS.values():
+            original = getattr(w, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(w, name, counting)
+        img = GrayImage(rng.integers(1, 256, (5, 6)).astype(np.uint8))
+        resize(img, 2.0, scheme)
+        expected = [WEIGHT_FUNCTIONS[scheme]] if scheme in WEIGHT_FUNCTIONS else []
+        assert calls == expected
