@@ -111,6 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_resize(args) -> int:
+    if not args.output.lower().endswith(".pgm"):
+        raise FormatError(f"{args.output}: unsupported output extension (need .pgm)")
     image = load_image(args.input)
     out = resize(image, args.ratio, args.scheme, args.intensity_domain)
     save_pgm(out, args.output)

@@ -15,6 +15,15 @@ Coordinate convention is pixel-centered: src = (dst + 0.5) / scale - 0.5.
 Boundaries replicate the edge pixel. Each output pixel is quantized once,
 rounding half away from zero and clamping to [0, 255].
 
+Sampling is per axis: ``_axis_taps`` gives the clamped source index at each
+offset from floor(src), offsets (0, 1) for the 2x2 schemes and -1..2 for TC,
+and the fraction src - floor(src). The 2x2 path takes its corner columns from
+the uint8 source, then their rows, and only then converts to float64; TC
+multiplies float64 coefficients by uint8 samples, which promotes exactly. So
+no float64 copy of the source is made. The quantizer and TN round with
+floor(x + 0.5) under the clamp: for x >= 0 that is round-half-away, and for
+x < 0 both give a value <= 0, which the clamp sends to 0.
+
 The per-pixel helpers (map_dst_to_src, gather_neighborhood,
 interpolate_pixel) define the semantics one pixel at a time; ``resize``
 evaluates the same formulas over whole grids with numpy.
@@ -107,31 +116,29 @@ def _output_length(n: int, ratio: float) -> int:
     return max(1, int(math.floor(n * ratio + 0.5)))
 
 
-def _axis_grid(n_in: int, n_out: int, ratio: float):
-    """Anchor indices and fractional offsets for one axis."""
+def _axis_taps(n_in: int, ratio: float, offsets):
+    """Source taps for one output axis of length ``_output_length(n_in, ratio)``.
+
+    Returns the source index at each offset from floor(src), clamped to
+    [0, n_in - 1], and the fraction src - floor(src).
+    """
+    n_out = _output_length(n_in, ratio)
     src = map_dst_to_src(np.arange(n_out, dtype=np.float64), ratio)
     anchor = np.floor(src).astype(np.int64)
-    frac = src - anchor
-    lo = np.clip(anchor, 0, n_in - 1)
-    hi = np.clip(anchor + 1, 0, n_in - 1)
-    return lo, hi, frac
+    return [np.clip(anchor + k, 0, n_in - 1) for k in offsets], src - anchor
 
 
 def _weighted_field(
     image: GrayImage, ratio: float, scheme: str, intensity_domain: str = "raw"
 ) -> np.ndarray:
     """Pre-quantization float output of a 2x2 weighted-sum resize."""
-    h, w = image.height, image.width
-    out_w = _output_length(w, ratio)
-    out_h = _output_length(h, ratio)
-    xl, xr, dxs = _axis_grid(w, out_w, ratio)
-    yt, yb, dys = _axis_grid(h, out_h, ratio)
-
-    px = image.pixels.astype(np.float64)
-    p1 = px[yt[:, None], xl[None, :]]
-    p2 = px[yt[:, None], xr[None, :]]
-    p3 = px[yb[:, None], xl[None, :]]
-    p4 = px[yb[:, None], xr[None, :]]
+    (xl, xr), dxs = _axis_taps(image.width, ratio, (0, 1))
+    (yt, yb), dys = _axis_taps(image.height, ratio, (0, 1))
+    left, right = (np.take(image.pixels, x, axis=1) for x in (xl, xr))
+    p1, p2, p3, p4 = (
+        np.take(columns, rows, axis=0).astype(np.float64)
+        for rows, columns in ((yt, left), (yt, right), (yb, left), (yb, right))
+    )
 
     weights = _WEIGHTS[scheme]
     w1, w2, w3, w4 = weights(
@@ -141,18 +148,20 @@ def _weighted_field(
 
 
 def _quantize(field: np.ndarray) -> GrayImage:
-    return GrayImage(np.clip(round_half_away(field), 0, 255).astype(np.uint8))
+    return GrayImage(np.clip(np.floor(field + 0.5), 0, 255).astype(np.uint8))
 
 
 def _nearest(image: GrayImage, ratio: float) -> GrayImage:
-    """Nearest-neighbor resize (source index rounds half away from zero)."""
+    """Nearest-neighbor resize: source index floor(src + 0.5), clamped.
+
+    Not built on ``_axis_taps``: anchor + (frac >= 0.5) can differ from
+    floor(src + 0.5) in the last ulp.
+    """
     h, w = image.height, image.width
-    out_w = _output_length(w, ratio)
-    out_h = _output_length(h, ratio)
-    sx = map_dst_to_src(np.arange(out_w, dtype=np.float64), ratio)
-    sy = map_dst_to_src(np.arange(out_h, dtype=np.float64), ratio)
-    ix = np.clip(round_half_away(sx).astype(np.int64), 0, w - 1)
-    iy = np.clip(round_half_away(sy).astype(np.int64), 0, h - 1)
+    sx = map_dst_to_src(np.arange(_output_length(w, ratio), dtype=np.float64), ratio)
+    sy = map_dst_to_src(np.arange(_output_length(h, ratio), dtype=np.float64), ratio)
+    ix = np.clip(np.floor(sx + 0.5).astype(np.int64), 0, w - 1)
+    iy = np.clip(np.floor(sy + 0.5).astype(np.int64), 0, h - 1)
     return GrayImage(image.pixels[iy[:, None], ix[None, :]])
 
 
@@ -169,32 +178,23 @@ def cubic_kernel(t):
     return np.where(at <= 1.0, inner, np.where(at < 2.0, outer, 0.0))
 
 
-def _cubic_axis_pass(data: np.ndarray, n_in: int, n_out: int, ratio: float, axis: int):
+def _cubic_axis_pass(data: np.ndarray, ratio: float, axis: int):
     """Resample one axis with the 4-tap cubic kernel over clamped taps."""
-    src = map_dst_to_src(np.arange(n_out, dtype=np.float64), ratio)
-    anchor = np.floor(src).astype(np.int64)
-    frac = src - anchor
+    offsets = range(-1, 3)
+    taps, frac = _axis_taps(data.shape[axis], ratio, offsets)
     acc = None
-    for k in range(-1, 3):
-        idx = np.clip(anchor + k, 0, n_in - 1)
-        coeff = cubic_kernel(frac - k)
-        taken = np.take(data, idx, axis=axis)
-        if axis == 0:
-            term = coeff[:, None] * taken
-        else:
-            term = coeff[None, :] * taken
+    for k, idx in zip(offsets, taps):
+        coeff = np.expand_dims(cubic_kernel(frac - k), 1 - axis)
+        term = coeff * np.take(data, idx, axis=axis)
         acc = term if acc is None else acc + term
     return acc
 
 
 def _bicubic_field(image: GrayImage, ratio: float) -> np.ndarray:
-    """Pre-quantization float output of the separable bicubic resize."""
-    h, w = image.height, image.width
-    out_w = _output_length(w, ratio)
-    out_h = _output_length(h, ratio)
-    px = image.pixels.astype(np.float64)
-    tmp = _cubic_axis_pass(px, w, out_w, ratio, axis=1)
-    return _cubic_axis_pass(tmp, h, out_h, ratio, axis=0)
+    """Pre-quantization float output of the separable bicubic resize:
+    horizontal pass first, then vertical."""
+    tmp = _cubic_axis_pass(image.pixels, ratio, axis=1)
+    return _cubic_axis_pass(tmp, ratio, axis=0)
 
 
 def resize(

@@ -50,12 +50,8 @@ def _normalized_or_tetragon(raw, dx, dy):
     """Normalize raw weights, falling back to tetragon weights where the
     sum is degenerate (e.g. all-zero intensities in AT)."""
     total = raw[0] + raw[1] + raw[2] + raw[3]
-    if np.ndim(total) == 0:
-        if total < EPSILON:
-            return tetragon_weights(dx, dy)
-        return tuple(w / total for w in raw)
     bad = total < EPSILON
-    if not bad.any():
+    if not np.any(bad):
         return tuple(w / total for w in raw)
     fallback = tetragon_weights(dx, dy)
     safe = np.where(bad, 1.0, total)

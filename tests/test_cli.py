@@ -68,6 +68,19 @@ class TestResizeCommand:
         assert code == 3
         assert not (tmp_path / "o.pgm").exists()
 
+    @pytest.mark.parametrize("name", ("out.png", "out.jpg"))
+    def test_non_pgm_output_is_data_error(self, tmp_path, sample_pgm, name, capsys):
+        out = tmp_path / name
+        code = main(["resize", str(sample_pgm), str(out), "--ratio", "2", "--scheme", "TB"])
+        assert code == 3
+        assert "unsupported output extension" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_upper_case_pgm_output_accepted(self, tmp_path, sample_pgm):
+        out = tmp_path / "OUT.PGM"
+        assert main(["resize", str(sample_pgm), str(out), "--ratio", "2", "--scheme", "TB"]) == 0
+        assert load_pgm(out).width == 32
+
 
 class TestMetricsCommand:
     def test_identical_files(self, tmp_path, sample_pgm, capsys):

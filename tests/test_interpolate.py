@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from tetrascale.interpolate import (
     Neighborhood,
     _bicubic_field,
     _output_length,
+    _quantize,
     _weighted_field,
     cubic_kernel,
     domain_values,
@@ -157,6 +159,10 @@ class TestRounding:
     def test_half_away_from_zero(self, value, expected):
         assert float(round_half_away(value)) == expected
 
+    def test_quantize_rounds_half_away_and_clamps(self):
+        field = np.array([[-0.5, -0.2, 0.5, 2.5, 254.5, 255.5, 300.0]])
+        assert _quantize(field).pixels.tolist() == [[0, 0, 1, 3, 255, 255, 255]]
+
 
 class TestInterpolatePixel:
     def test_single_corner(self):
@@ -277,9 +283,22 @@ class TestWeightedResize:
 
 class TestResizeDispatch:
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("ratio", (1.5, 2.0, 3.7))
-    def test_matches_per_pixel_reference(self, scheme, ratio, rng):
-        img = GrayImage(rng.integers(0, 256, (9, 8)).astype(np.uint8))
+    @pytest.mark.parametrize(
+        "ratio,zero_block",
+        [
+            # Plain cases take the bare ratio as their id, so those ids stay stable.
+            pytest.param(
+                ratio, zero_block, id=f"{ratio}-zero_block" if zero_block else f"{ratio}"
+            )
+            for zero_block in (False, True)
+            for ratio in (0.75, 1.5, 2.0, 3.0, 3.7)
+        ],
+    )
+    def test_matches_per_pixel_reference(self, scheme, ratio, zero_block, rng):
+        pixels = rng.integers(0, 256, (9, 8)).astype(np.uint8)
+        if zero_block:
+            pixels[:3, :3] = 0
+        img = GrayImage(pixels)
         out = resize(img, ratio, scheme)
         ref = reference_resize(img, ratio, scheme)
         assert np.array_equal(out.pixels, ref.pixels), scheme
@@ -290,6 +309,26 @@ class TestResizeDispatch:
         out = resize(img, 2.5, scheme, "unit")
         ref = reference_resize(img, 2.5, scheme, "unit")
         assert np.array_equal(out.pixels, ref.pixels)
+
+    def test_outputs_pinned(self):
+        """One SHA-256 over the output of every scheme, domain and ratio on a
+        formula-built image with a black corner. Its .5 ties flip when a
+        summation order changes (a separable TB moves 1, 8 and 22 pixels at
+        ratios 0.75, 1.5 and 3.7), which the 9x8 oracle test can miss."""
+        y, x = np.mgrid[0:64, 0:96]
+        pixels = ((x * 37 + y * 91 + (x * y) % 13) % 256).astype(np.uint8)
+        pixels[:8, :8] = 0
+        img = GrayImage(pixels)
+        digest = hashlib.sha256()
+        for scheme in SCHEMES:
+            for domain in ("raw", "unit"):
+                for ratio in (0.75, 1.5, 3.0, 3.7):
+                    out = resize(img, ratio, scheme, domain).pixels
+                    digest.update(np.asarray(out.shape, dtype=np.int64).tobytes())
+                    digest.update(out.tobytes())
+        assert digest.hexdigest() == (
+            "5f5c686c0494b4899f6b7afb19e281736099a11b641871ae919583ab5a7ebd40"
+        )
 
     def test_intensity_domain_changes_ac_but_not_at(self, rng):
         """Dividing intensities by 255 cancels in AT's quotient (scale
