@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .image import GrayImage, load_image, save_pgm
+from .image import GrayImage, load_image, quantize, save_pgm
 from .interpolate import INTENSITY_DOMAINS, SCHEMES, resize
 from .metrics import mse, psnr, ssim
 
@@ -110,8 +110,7 @@ def downsample(image: GrayImage, factor: int, method: str = "box") -> GrayImage:
         raise ValueError(f"dimensions {w}x{h} not divisible by factor {factor}")
     if method == "box":
         blocks = image.pixels.reshape(h // factor, factor, w // factor, factor)
-        means = blocks.astype(np.float64).mean(axis=(1, 3))
-        return GrayImage(np.floor(means + 0.5).astype(np.uint8))
+        return quantize(blocks.astype(np.float64).mean(axis=(1, 3)))
     if method == "decimate":
         return GrayImage(image.pixels[::factor, ::factor])
     raise ValueError(f"unknown downsample method {method!r}")
@@ -213,12 +212,8 @@ def run_benchmark(config: BenchConfig):
     return records, aggregate(records, config.algorithms, config.ratios)
 
 
-def aggregate(records, algorithms=None, ratios=None) -> list:
+def aggregate(records, algorithms, ratios) -> list:
     """Per-(algorithm, ratio) means, in the given presentation order."""
-    if algorithms is None:
-        algorithms = list(dict.fromkeys(r.algorithm for r in records))
-    if ratios is None:
-        ratios = sorted({r.ratio for r in records})
     rows = []
     for tag in algorithms:
         for ratio in ratios:
@@ -258,16 +253,17 @@ def _json_safe(value):
     return value
 
 
+def _config_value(value):
+    """A BenchConfig field as JSON encodes it: paths become text."""
+    return str(value) if isinstance(value, Path) else value
+
+
 def write_summary_json(config: BenchConfig, rows, path) -> None:
     payload = {
         "config": {
-            "corpus_dir": str(config.corpus_dir),
-            "output_dir": str(config.output_dir),
-            "ratios": list(config.ratios),
-            "algorithms": list(config.algorithms),
-            "intensity_domain": config.intensity_domain,
-            "downsampler": config.downsampler,
-            "repetitions": config.repetitions,
+            f.name: _config_value(getattr(config, f.name))
+            for f in fields(BenchConfig)
+            if f.name != "save_images"
         },
         "aggregates": [
             {name: _json_safe(value) for name, value in asdict(a).items()}

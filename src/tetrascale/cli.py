@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .bench import (
     DOWNSAMPLERS,
@@ -83,23 +84,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument("image_a")
     p_metrics.add_argument("image_b")
 
-    p_bench = sub.add_parser("bench", help="run the benchmark over a corpus")
-    p_bench.add_argument("--corpus", required=True, help="directory of reference images")
-    p_bench.add_argument("--out", required=True, help="output directory")
-    p_bench.add_argument(
-        "--ratios", type=_ratio_list, default=[2, 4], help="comma list, e.g. 2,4"
+    # Each bench option is stored under its BenchConfig field name and an
+    # option not given is absent from the namespace, so BenchConfig's own
+    # defaults apply.
+    p_bench = sub.add_parser(
+        "bench",
+        help="run the benchmark over a corpus",
+        argument_default=argparse.SUPPRESS,
     )
     p_bench.add_argument(
-        "--algorithms",
-        type=_algorithm_list,
-        default=list(SCHEMES),
-        help="comma list of tags",
+        "--corpus",
+        dest="corpus_dir",
+        metavar="CORPUS",
+        required=True,
+        help="directory of reference images",
     )
     p_bench.add_argument(
-        "--intensity-domain", choices=INTENSITY_DOMAINS, default="raw"
+        "--out", dest="output_dir", metavar="OUT", required=True, help="output directory"
     )
-    p_bench.add_argument("--downsampler", choices=DOWNSAMPLERS, default="box")
-    p_bench.add_argument("--reps", type=int, default=3, help="timing repetitions")
+    p_bench.add_argument("--ratios", type=_ratio_list, help="comma list, e.g. 2,4")
+    p_bench.add_argument("--algorithms", type=_algorithm_list, help="comma list of tags")
+    p_bench.add_argument("--intensity-domain", choices=INTENSITY_DOMAINS)
+    p_bench.add_argument("--downsampler", choices=DOWNSAMPLERS)
+    p_bench.add_argument(
+        "--reps", dest="repetitions", metavar="REPS", type=int, help="timing repetitions"
+    )
     p_bench.add_argument(
         "--save-images", action="store_true", help="save every upscaled image"
     )
@@ -129,16 +138,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config = BenchConfig(
-        corpus_dir=args.corpus,
-        output_dir=args.out,
-        ratios=args.ratios,
-        algorithms=args.algorithms,
-        intensity_domain=args.intensity_domain,
-        downsampler=args.downsampler,
-        repetitions=args.reps,
-        save_images=args.save_images,
-    )
+    names = {f.name for f in fields(BenchConfig)}
+    config = BenchConfig(**{k: v for k, v in vars(args).items() if k in names})
     config.output_dir.mkdir(parents=True, exist_ok=True)
     records, aggregates = run_benchmark(config)
     write_records_csv(records, config.output_dir / "records.csv")

@@ -50,21 +50,6 @@ class GrayImage:
     def height(self) -> int:
         return self.pixels.shape[0]
 
-    @property
-    def samples(self) -> np.ndarray:
-        """Flat row-major view of the samples (read-only, length w*h)."""
-        return self.pixels.reshape(-1)
-
-    @classmethod
-    def from_samples(cls, width: int, height: int, samples) -> "GrayImage":
-        """Build an image from flat row-major samples."""
-        flat = np.asarray(samples)
-        if flat.size != width * height:
-            raise ValueError(
-                f"sample count {flat.size} != width*height = {width * height}"
-            )
-        return cls(flat.reshape(height, width))
-
     def __eq__(self, other):
         if not isinstance(other, GrayImage):
             return NotImplemented
@@ -73,14 +58,13 @@ class GrayImage:
         )
 
 
-def get_clamped(image: GrayImage, col: int, row: int) -> int:
-    """Sample at (col, row) with replicate/clamp boundary handling.
+def quantize(values) -> GrayImage:
+    """Image of ``values`` rounded half away from zero and clamped to [0, 255].
 
-    Never fails: out-of-range indices are clamped to the nearest edge pixel.
+    floor(x + 0.5) is round-half-away for x >= 0; for x < 0 both give a value
+    <= 0, which the clamp sends to 0.
     """
-    c = min(max(col, 0), image.width - 1)
-    r = min(max(row, 0), image.height - 1)
-    return int(image.pixels[r, c])
+    return GrayImage(np.clip(np.floor(values + 0.5), 0, 255).astype(np.uint8))
 
 
 def to_gray(rgb_samples, width: int, height: int) -> GrayImage:
@@ -96,8 +80,7 @@ def to_gray(rgb_samples, width: int, height: int) -> GrayImage:
         )
     arr = arr.reshape(height, width, 3)
     luma = 0.299 * arr[:, :, 0] + 0.587 * arr[:, :, 1] + 0.114 * arr[:, :, 2]
-    out = np.clip(np.floor(luma + 0.5), 0, 255).astype(np.uint8)
-    return GrayImage(out)
+    return quantize(luma)
 
 
 def _read_header_tokens(data: bytes, count: int, start: int) -> tuple[list[bytes], int]:

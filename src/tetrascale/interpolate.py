@@ -12,31 +12,32 @@ tag and the intensity domain, then takes the nearest, bicubic or weighted
 path.
 
 Coordinate convention is pixel-centered: src = (dst + 0.5) / scale - 0.5.
-Boundaries replicate the edge pixel. Each output pixel is quantized once,
-rounding half away from zero and clamping to [0, 255].
+Boundaries replicate the edge pixel. Each output pixel is quantized once by
+``image.quantize``, rounding half away from zero and clamping to [0, 255].
+An output of more than ``MAX_OUTPUT_PIXELS`` pixels is refused before
+anything is allocated.
 
 Sampling is per axis: ``_axis_taps`` gives the clamped source index at each
 offset from floor(src), offsets (0, 1) for the 2x2 schemes and -1..2 for TC,
-and the fraction src - floor(src). The 2x2 path takes its corner columns from
-the uint8 source, then their rows, and only then converts to float64; TC
-multiplies float64 coefficients by uint8 samples, which promotes exactly. So
-no float64 copy of the source is made. The quantizer and TN round with
-floor(x + 0.5) under the clamp: for x >= 0 that is round-half-away, and for
-x < 0 both give a value <= 0, which the clamp sends to 0.
+and the fraction src - floor(src). Indices are clamped while still floats,
+so a coordinate far past the edge (a tiny ratio) cannot overflow the integer
+cast. The 2x2 path takes its corner columns from the uint8 source, then their
+rows, and only then converts to float64; TC multiplies float64 coefficients
+by uint8 samples, which promotes exactly. So no float64 copy of the source is
+made. TN rounds with floor(x + 0.5) under the clamp, as the quantizer does.
 
-The per-pixel helpers (map_dst_to_src, gather_neighborhood,
-interpolate_pixel) define the semantics one pixel at a time; ``resize``
-evaluates the same formulas over whole grids with numpy.
+``tests/oracle.py`` defines the semantics one pixel at a time, in plain
+Python; ``resize`` evaluates the same formulas over whole grids with numpy
+and must match it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-from .image import GrayImage, get_clamped
+from .image import GrayImage, quantize as _quantize
 from . import weights as _w
 
 #: Tag -> ``f(dx, dy, corners, intensity_domain)`` giving the four 2x2
@@ -58,48 +59,13 @@ SCHEMES = tuple(_WEIGHTS)
 
 INTENSITY_DOMAINS = ("raw", "unit")
 
-
-class Neighborhood(NamedTuple):
-    """Four corner samples (P1..P4) and the fractional offset inside them."""
-
-    values: tuple
-    dx: float
-    dy: float
+#: Largest output ``resize`` produces, in pixels (8192 x 8192).
+MAX_OUTPUT_PIXELS = 1 << 26
 
 
 def map_dst_to_src(dst_index, scale):
     """Continuous source coordinate of a destination pixel center."""
     return (dst_index + 0.5) / scale - 0.5
-
-
-def gather_neighborhood(image: GrayImage, src_x: float, src_y: float) -> Neighborhood:
-    """Fetch the 2x2 neighborhood around a continuous source coordinate.
-
-    The anchor is floor(src); corners outside the image clamp to the edge,
-    so the fractional offsets always land in [0, 1).
-    """
-    x1 = math.floor(src_x)
-    y1 = math.floor(src_y)
-    values = (
-        get_clamped(image, x1, y1),
-        get_clamped(image, x1 + 1, y1),
-        get_clamped(image, x1, y1 + 1),
-        get_clamped(image, x1 + 1, y1 + 1),
-    )
-    return Neighborhood(values, src_x - x1, src_y - y1)
-
-
-def round_half_away(x):
-    """Round to nearest integer, halves away from zero. Works elementwise."""
-    return np.where(np.asarray(x) >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
-
-
-def interpolate_pixel(neighborhood: Neighborhood, weight_vector) -> int:
-    """Weighted sum of the four corner samples, quantized to [0, 255]."""
-    v1, v2, v3, v4 = neighborhood.values
-    w1, w2, w3, w4 = weight_vector
-    acc = w1 * v1 + w2 * v2 + w3 * v3 + w4 * v4
-    return int(min(max(round_half_away(acc), 0.0), 255.0))
 
 
 def domain_values(values, intensity_domain: str):
@@ -124,8 +90,9 @@ def _axis_taps(n_in: int, ratio: float, offsets):
     """
     n_out = _output_length(n_in, ratio)
     src = map_dst_to_src(np.arange(n_out, dtype=np.float64), ratio)
-    anchor = np.floor(src).astype(np.int64)
-    return [np.clip(anchor + k, 0, n_in - 1) for k in offsets], src - anchor
+    anchor = np.floor(src)
+    taps = [np.clip(anchor + k, 0, n_in - 1).astype(np.int64) for k in offsets]
+    return taps, src - anchor
 
 
 def _weighted_field(
@@ -147,10 +114,6 @@ def _weighted_field(
     return w1 * p1 + w2 * p2 + w3 * p3 + w4 * p4
 
 
-def _quantize(field: np.ndarray) -> GrayImage:
-    return GrayImage(np.clip(np.floor(field + 0.5), 0, 255).astype(np.uint8))
-
-
 def _nearest(image: GrayImage, ratio: float) -> GrayImage:
     """Nearest-neighbor resize: source index floor(src + 0.5), clamped.
 
@@ -160,8 +123,8 @@ def _nearest(image: GrayImage, ratio: float) -> GrayImage:
     h, w = image.height, image.width
     sx = map_dst_to_src(np.arange(_output_length(w, ratio), dtype=np.float64), ratio)
     sy = map_dst_to_src(np.arange(_output_length(h, ratio), dtype=np.float64), ratio)
-    ix = np.clip(np.floor(sx + 0.5).astype(np.int64), 0, w - 1)
-    iy = np.clip(np.floor(sy + 0.5).astype(np.int64), 0, h - 1)
+    ix = np.clip(np.floor(sx + 0.5), 0, w - 1).astype(np.int64)
+    iy = np.clip(np.floor(sy + 0.5), 0, h - 1).astype(np.int64)
     return GrayImage(image.pixels[iy[:, None], ix[None, :]])
 
 
@@ -204,14 +167,26 @@ def resize(
 
     ``intensity_domain`` must be one of ``INTENSITY_DOMAINS`` for every
     scheme, though only AT and AC read it. TC is the separable 4x4 Keys
-    cubic convolution (a = -0.5).
+    cubic convolution (a = -0.5). Raises ValueError, before allocating
+    anything, if the output would exceed ``MAX_OUTPUT_PIXELS``.
     """
-    if not (ratio > 0 and math.isfinite(ratio)):
-        raise ValueError(f"ratio must be a positive finite number, got {ratio!r}")
+    if not (ratio > 0 and math.isfinite(ratio) and math.isfinite(1 / ratio)):
+        raise ValueError(
+            f"ratio must be positive, finite and have a finite reciprocal, got {ratio!r}"
+        )
     if scheme not in _WEIGHTS:
         raise ValueError(f"unknown scheme {scheme!r} (expected one of {SCHEMES})")
     if intensity_domain not in INTENSITY_DOMAINS:
         raise ValueError(f"unknown intensity domain {intensity_domain!r}")
+    # A ratio past the limit exceeds it on any input; testing that first keeps
+    # n * ratio finite in _output_length.
+    if ratio > MAX_OUTPUT_PIXELS or (
+        _output_length(image.height, ratio) * _output_length(image.width, ratio)
+        > MAX_OUTPUT_PIXELS
+    ):
+        raise ValueError(
+            f"output at ratio {ratio!r} would exceed {MAX_OUTPUT_PIXELS} pixels"
+        )
     if scheme == "TN":
         return _nearest(image, ratio)
     if scheme == "TC":

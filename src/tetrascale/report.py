@@ -29,12 +29,12 @@ _FALLBACK_COLOR = "#9c9c9c"
 #: Column name -> the type its text is parsed into.
 _COLUMN_TYPES = typing.get_type_hints(AggregateRow)
 
-#: (attribute, chart file stem, title, y-axis label, better)
+#: (attribute, chart file stem, title, y-axis label)
 CHART_SPECS = (
-    ("mean_elapsed_s", "time", "Average time per resize", "seconds", "lower"),
-    ("mean_mse", "mse", "Average MSE", "MSE", "lower"),
-    ("mean_ssim", "ssim", "Average SSIM", "SSIM", "higher"),
-    ("mean_psnr", "psnr", "Average PSNR", "dB", "higher"),
+    ("mean_elapsed_s", "time", "Average time per resize", "seconds"),
+    ("mean_mse", "mse", "Average MSE", "MSE"),
+    ("mean_ssim", "ssim", "Average SSIM", "SSIM"),
+    ("mean_psnr", "psnr", "Average PSNR", "dB"),
 )
 
 
@@ -268,7 +268,7 @@ def write_report(rows, out_dir) -> list:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for attr, stem, title, ylabel, _better in CHART_SPECS:
+    for attr, stem, title, ylabel in CHART_SPECS:
         path = out_dir / f"{stem}.svg"
         path.write_text(grouped_bar_svg(rows, attr, title, ylabel))
         written.append(path)

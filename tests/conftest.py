@@ -21,3 +21,8 @@ def random_image(rng):
 
 def constant_image(height, width, value):
     return GrayImage(np.full((height, width), value, dtype=np.uint8))
+
+
+def gray(width, height, samples):
+    """Image from flat row-major samples."""
+    return GrayImage(np.reshape(samples, (height, width)))

@@ -34,7 +34,7 @@ from tetrascale.weights import (
     tetragon_weights,
 )
 
-from conftest import constant_image
+from conftest import constant_image, gray
 
 
 def _report(number, name):
@@ -159,8 +159,8 @@ def test_c4_identity_and_constant_properties():
 def test_c5_metric_golden_cases():
     img = GrayImage(np.random.default_rng(5).integers(0, 256, (16, 16)).astype(np.uint8))
     assert mse(img, img) == 0.0
-    a = GrayImage.from_samples(2, 2, [10, 10, 10, 10])
-    b = GrayImage.from_samples(2, 2, [10, 10, 10, 12])
+    a = gray(2, 2, [10, 10, 10, 10])
+    b = gray(2, 2, [10, 10, 10, 12])
     assert mse(a, b) == 1.0
     assert mse(constant_image(4, 4, 0), constant_image(4, 4, 255)) == 65025.0
 

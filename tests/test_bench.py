@@ -43,11 +43,11 @@ def make_corpus(directory, count, size=16, seed=11):
 class TestDownsample:
     def test_box_block_mean(self):
         img = GrayImage(np.array([[0, 0], [0, 4]], dtype=np.uint8))
-        assert list(downsample(img, 2, "box").samples) == [1]
+        assert list(downsample(img, 2, "box").pixels.ravel()) == [1]
 
     def test_decimate_top_left(self):
         img = GrayImage(np.array([[0, 0], [0, 4]], dtype=np.uint8))
-        assert list(downsample(img, 2, "decimate").samples) == [0]
+        assert list(downsample(img, 2, "decimate").pixels.ravel()) == [0]
 
     @pytest.mark.parametrize("method", ("box", "decimate"))
     def test_constant_stays_constant(self, method):
@@ -72,7 +72,7 @@ class TestDownsample:
     def test_box_rounds_half_up(self):
         # block mean 0.5 rounds away from zero to 1
         img = GrayImage(np.array([[0, 0], [0, 2]], dtype=np.uint8))
-        assert list(downsample(img, 2, "box").samples) == [1]
+        assert list(downsample(img, 2, "box").pixels.ravel()) == [1]
 
 
 class TestTimeAlgorithm:
@@ -400,7 +400,7 @@ class TestGoldenOutputs:
 
     def test_aggregates_csv_bytes(self, tmp_path):
         path = tmp_path / "aggregates.csv"
-        write_aggregates_csv(aggregate(GOLDEN_RECORDS), path)
+        write_aggregates_csv(aggregate(GOLDEN_RECORDS, ("TB", "TC"), (2, 4)), path)
         assert path.read_bytes() == GOLDEN_AGGREGATES_CSV
 
     def test_summary_json_bytes(self, tmp_path):
@@ -412,11 +412,11 @@ class TestGoldenOutputs:
             save_images=True,
         )
         path = tmp_path / "summary.json"
-        write_summary_json(cfg, aggregate(GOLDEN_RECORDS), path)
+        write_summary_json(cfg, aggregate(GOLDEN_RECORDS, ("TB", "TC"), (2, 4)), path)
         assert path.read_bytes() == GOLDEN_SUMMARY_JSON
 
     def test_aggregates_csv_round_trips(self, tmp_path):
-        rows = aggregate(GOLDEN_RECORDS)
+        rows = aggregate(GOLDEN_RECORDS, ("TB", "TC"), (2, 4))
         path = tmp_path / "aggregates.csv"
         write_aggregates_csv(rows, path)
         back = read_aggregates_csv(path)

@@ -12,6 +12,7 @@ import tetrascale
 from tetrascale import GrayImage, load_pgm, save_pgm
 from tetrascale.cli import main
 
+from conftest import gray
 from test_bench import make_corpus
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -68,6 +69,15 @@ class TestResizeCommand:
         assert code == 3
         assert not (tmp_path / "o.pgm").exists()
 
+    def test_output_over_limit_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "in.pgm"
+        save_pgm(gray(2, 2, [10, 20, 30, 40]), src)
+        out = tmp_path / "o.pgm"
+        code = main(["resize", str(src), str(out), "--ratio", "1e7", "--scheme", "TB"])
+        assert code == 3
+        assert "exceed" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ("out.png", "out.jpg"))
     def test_non_pgm_output_is_data_error(self, tmp_path, sample_pgm, name, capsys):
         out = tmp_path / name
@@ -92,15 +102,15 @@ class TestMetricsCommand:
     def test_known_mse(self, tmp_path, capsys):
         a = tmp_path / "a.pgm"
         b = tmp_path / "b.pgm"
-        save_pgm(GrayImage.from_samples(16, 16, [10] * 256), a)
-        save_pgm(GrayImage.from_samples(16, 16, [11] * 256), b)
+        save_pgm(gray(16, 16, [10] * 256), a)
+        save_pgm(gray(16, 16, [11] * 256), b)
         assert main(["metrics", str(a), str(b)]) == 0
         out = capsys.readouterr().out
         assert "mse=1.00000" in out
 
     def test_dimension_mismatch_is_data_error(self, tmp_path, sample_pgm):
         other = tmp_path / "small.pgm"
-        save_pgm(GrayImage.from_samples(12, 12, [0] * 144), other)
+        save_pgm(gray(12, 12, [0] * 144), other)
         assert main(["metrics", str(sample_pgm), str(other)]) == 3
 
     def test_missing_subcommand_is_usage_error(self, capsys):

@@ -4,18 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetrascale import FormatError, GrayImage, load_image, load_pgm, save_pgm, to_gray
-from tetrascale.image import get_clamped
+
+from conftest import gray
+from oracle import get_clamped
 
 
 class TestGrayImage:
     def test_shape_and_samples(self):
-        img = GrayImage.from_samples(2, 2, [0, 255, 128, 64])
+        img = gray(2, 2, [0, 255, 128, 64])
         assert (img.width, img.height) == (2, 2)
-        assert list(img.samples) == [0, 255, 128, 64]
-
-    def test_sample_count_mismatch(self):
-        with pytest.raises(ValueError):
-            GrayImage.from_samples(2, 2, [1, 2, 3])
+        assert list(img.pixels.ravel()) == [0, 255, 128, 64]
 
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
@@ -44,18 +42,18 @@ class TestPgm:
         path.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 255, 128, 64]))
         img = load_pgm(path)
         assert (img.width, img.height) == (2, 2)
-        assert list(img.samples) == [0, 255, 128, 64]
+        assert list(img.pixels.ravel()) == [0, 255, 128, 64]
 
     def test_save_known_bytes(self, tmp_path):
         path = tmp_path / "t.pgm"
-        save_pgm(GrayImage.from_samples(1, 1, [7]), path)
+        save_pgm(gray(1, 1, [7]), path)
         assert path.read_bytes() == b"P5\n1 1\n255\n\x07"
 
     def test_header_comments_accepted(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n# a comment\n2 1\n# another\n255\n\x01\x02")
         img = load_pgm(path)
-        assert list(img.samples) == [1, 2]
+        assert list(img.pixels.ravel()) == [1, 2]
 
     def test_sixteen_bit_rejected(self, tmp_path):
         path = tmp_path / "t.pgm"
@@ -93,7 +91,7 @@ class TestPgm:
             load_pgm(path)
 
     def test_unwritable_destination(self, tmp_path):
-        img = GrayImage.from_samples(1, 1, [7])
+        img = gray(1, 1, [7])
         with pytest.raises(OSError):
             save_pgm(img, tmp_path / "no_such_dir" / "t.pgm")
 
@@ -114,7 +112,7 @@ class TestPgm:
         samples = np.random.default_rng(seed).integers(
             0, 256, height * width
         ).astype(np.uint8)
-        img = GrayImage.from_samples(width, height, samples)
+        img = gray(width, height, samples)
         path = tmp_path_factory.mktemp("pgm") / "p.pgm"
         save_pgm(img, path)
         assert load_pgm(path) == img
@@ -123,14 +121,14 @@ class TestPgm:
 class TestToGray:
     def test_white(self):
         img = to_gray([255, 255, 255], 1, 1)
-        assert img.samples[0] == 255
+        assert img.pixels.ravel()[0] == 255
 
     def test_black(self):
-        assert to_gray([0, 0, 0], 1, 1).samples[0] == 0
+        assert to_gray([0, 0, 0], 1, 1).pixels.ravel()[0] == 0
 
     def test_pure_red(self):
         # round(0.299 * 255) = round(76.245)
-        assert to_gray([255, 0, 0], 1, 1).samples[0] == 76
+        assert to_gray([255, 0, 0], 1, 1).pixels.ravel()[0] == 76
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):

@@ -6,23 +6,24 @@ import pytest
 
 from tetrascale import GrayImage, resize
 from tetrascale.interpolate import (
+    MAX_OUTPUT_PIXELS,
     SCHEMES,
-    Neighborhood,
     _bicubic_field,
-    _output_length,
     _quantize,
     _weighted_field,
     cubic_kernel,
-    domain_values,
-    gather_neighborhood,
-    interpolate_pixel,
     map_dst_to_src,
-    round_half_away,
 )
 from tetrascale import weights as w
-from tetrascale.image import get_clamped
 
-from conftest import constant_image
+from conftest import constant_image, gray
+from oracle import (
+    Neighborhood,
+    gather_neighborhood,
+    interpolate_pixel,
+    reference_resize,
+    round_half_away,
+)
 
 #: Tags and the ``tetrascale.weights`` function each must call, written out
 #: here rather than read from the package so a wrong mapping shows.
@@ -37,58 +38,9 @@ WEIGHTED_SCHEMES = tuple(WEIGHT_FUNCTIONS)
 INTENSITY_SCHEMES = ("AT", "AC")
 
 # ---------------------------------------------------------------------------
-# Reference implementations (independent per-pixel oracles)
+# Reference implementations (independent oracles; the per-pixel one is in
+# oracle.py)
 # ---------------------------------------------------------------------------
-
-def reference_resize(image, ratio, scheme, intensity_domain="raw"):
-    """Straightforward per-pixel loop built from the scalar operations.
-
-    The vectorized resize must reproduce this byte for byte.
-    """
-    out_w = _output_length(image.width, ratio)
-    out_h = _output_length(image.height, ratio)
-    out = np.empty((out_h, out_w), dtype=np.uint8)
-    for y in range(out_h):
-        sy = map_dst_to_src(y, ratio)
-        for x in range(out_w):
-            sx = map_dst_to_src(x, ratio)
-            if scheme == "TN":
-                ix = min(max(int(round_half_away(sx)), 0), image.width - 1)
-                iy = min(max(int(round_half_away(sy)), 0), image.height - 1)
-                out[y, x] = image.pixels[iy, ix]
-                continue
-            if scheme == "TC":
-                out[y, x] = _reference_bicubic_pixel(image, sx, sy)
-                continue
-            n = gather_neighborhood(image, sx, sy)
-            if scheme == "TB":
-                wv = w.tetragon_weights(n.dx, n.dy)
-            elif scheme == "MD":
-                wv = w.md_weights(n.dx, n.dy)
-            elif scheme == "HR":
-                wv = w.hr_weights(n.dx, n.dy)
-            elif scheme == "AT":
-                wv = w.at_weights(n.dx, n.dy, domain_values(n.values, intensity_domain))
-            elif scheme == "AC":
-                wv = w.ac_weights(n.dx, n.dy, domain_values(n.values, intensity_domain))
-            out[y, x] = interpolate_pixel(n, wv)
-    return GrayImage(out)
-
-
-def _reference_bicubic_pixel(image, sx, sy):
-    # Mirrors the separable order: horizontal pass first, then vertical.
-    x0 = math.floor(sx)
-    y0 = math.floor(sy)
-    acc = 0.0
-    for j in range(-1, 3):
-        ky = float(cubic_kernel((sy - y0) - j))
-        row = 0.0
-        for i in range(-1, 3):
-            kx = float(cubic_kernel((sx - x0) - i))
-            row += kx * get_clamped(image, x0 + i, y0 + j)
-        acc += ky * row
-    return int(min(max(float(round_half_away(acc)), 0.0), 255.0))
-
 
 def closed_form_bilinear(pixels, ratio):
     """Separable lerp-form bilinear oracle, independent of the weight path."""
@@ -208,7 +160,7 @@ class TestNearest:
         assert resize(img, 1.0, "TN") == img
 
     def test_single_pixel_blows_up_to_constant(self):
-        img = GrayImage.from_samples(1, 1, [42])
+        img = gray(1, 1, [42])
         out = resize(img, 4.0, "TN")
         assert (out.width, out.height) == (4, 4)
         assert np.all(out.pixels == 42)
@@ -291,7 +243,7 @@ class TestResizeDispatch:
                 ratio, zero_block, id=f"{ratio}-zero_block" if zero_block else f"{ratio}"
             )
             for zero_block in (False, True)
-            for ratio in (0.75, 1.5, 2.0, 3.0, 3.7)
+            for ratio in (0.75, 1.5, 2.0, 3.0, 3.7, 1e-300)
         ],
     )
     def test_matches_per_pixel_reference(self, scheme, ratio, zero_block, rng):
@@ -357,10 +309,18 @@ class TestResizeDispatch:
         out = resize(img, 0.1, "TN")
         assert (out.width, out.height) == (1, 1)
 
-    @pytest.mark.parametrize("bad", (0.0, -1.0, math.inf, math.nan))
+    @pytest.mark.parametrize("bad", (0.0, -1.0, math.inf, math.nan, 5e-324))
     def test_invalid_ratio_rejected(self, bad, random_image):
         with pytest.raises(ValueError):
             resize(random_image(4, 4), bad, "TB")
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("ratio", (1e7, 1e308))
+    def test_output_over_limit_rejected(self, scheme, ratio):
+        """Refused before anything is allocated: at 1e7 a 2x2 input asks for
+        4e14 pixels, and 1e308 overflows n * ratio to inf."""
+        with pytest.raises(ValueError, match=f"exceed {MAX_OUTPUT_PIXELS} pixels"):
+            resize(gray(2, 2, [10, 20, 30, 40]), ratio, scheme)
 
     def test_unknown_scheme_rejected(self, random_image):
         with pytest.raises(ValueError):

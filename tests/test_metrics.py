@@ -6,7 +6,7 @@ import pytest
 from tetrascale import GrayImage, mse, psnr, ssim
 from tetrascale.metrics import SSIM_SIGMA, SSIM_WINDOW_SIZE, _gaussian_1d, _ssim_map
 
-from conftest import constant_image
+from conftest import constant_image, gray
 
 
 class TestMse:
@@ -15,8 +15,8 @@ class TestMse:
         assert mse(img, img) == 0.0
 
     def test_known_two_by_two(self):
-        a = GrayImage.from_samples(2, 2, [10, 10, 10, 10])
-        b = GrayImage.from_samples(2, 2, [10, 10, 10, 12])
+        a = gray(2, 2, [10, 10, 10, 10])
+        b = gray(2, 2, [10, 10, 10, 12])
         assert mse(a, b) == 1.0
 
     def test_maximal_difference(self):

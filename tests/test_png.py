@@ -20,7 +20,7 @@ class TestPngLoading:
         rgb[0, 0] = (255, 0, 0)
         path = tmp_path / "c.png"
         Image.fromarray(rgb, mode="RGB").save(path)
-        assert load_image(path).samples[0] == 76
+        assert load_image(path).pixels.ravel()[0] == 76
 
     def test_unsupported_mode_rejected(self, tmp_path):
         rgba = np.zeros((2, 2, 4), dtype=np.uint8)
