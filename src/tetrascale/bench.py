@@ -61,6 +61,9 @@ class BenchConfig:
         for tag in self.algorithms:
             if tag not in SCHEMES:
                 raise ValueError(f"unknown algorithm tag {tag!r}")
+        for name, items in (("ratio", self.ratios), ("algorithm", self.algorithms)):
+            if len(set(items)) != len(items):
+                raise ValueError(f"repeated {name} in {items!r}")
         if self.intensity_domain not in INTENSITY_DOMAINS:
             raise ValueError(f"unknown intensity domain {self.intensity_domain!r}")
         if self.downsampler not in DOWNSAMPLERS:

@@ -17,14 +17,16 @@ Boundaries replicate the edge pixel. Each output pixel is quantized once by
 An output of more than ``MAX_OUTPUT_PIXELS`` pixels is refused before
 anything is allocated.
 
-Sampling is per axis: ``_axis_taps`` gives the clamped source index at each
-offset from floor(src), offsets (0, 1) for the 2x2 schemes and -1..2 for TC,
-and the fraction src - floor(src). Indices are clamped while still floats,
-so a coordinate far past the edge (a tiny ratio) cannot overflow the integer
-cast. The 2x2 path takes its corner columns from the uint8 source, then their
-rows, and only then converts to float64; TC multiplies float64 coefficients
-by uint8 samples, which promotes exactly. So no float64 copy of the source is
-made. TN rounds with floor(x + 0.5) under the clamp, as the quantizer does.
+Sampling is per axis for all seven schemes: ``_axis_taps`` maps each output
+coordinate to src and gives the clamped source index at each offset from an
+anchor, plus the fraction src - anchor. The anchor is floor(src) for the 2x2
+schemes (offsets 0, 1) and TC (offsets -1..2), and floor(src + 0.5) for TN
+(offset 0), which rounds as the quantizer does. Indices are clamped while
+still floats, so a coordinate far past the edge (a tiny ratio) cannot
+overflow the integer cast. The 2x2 path takes its corner columns from the
+uint8 source, then their rows, and only then converts to float64; TC
+multiplies float64 coefficients by uint8 samples, which promotes exactly. So
+no float64 copy of the source is made.
 
 ``tests/oracle.py`` defines the semantics one pixel at a time, in plain
 Python; ``resize`` evaluates the same formulas over whole grids with numpy
@@ -82,15 +84,16 @@ def _output_length(n: int, ratio: float) -> int:
     return max(1, int(math.floor(n * ratio + 0.5)))
 
 
-def _axis_taps(n_in: int, ratio: float, offsets):
+def _axis_taps(n_in: int, ratio: float, offsets, shift: float = 0.0):
     """Source taps for one output axis of length ``_output_length(n_in, ratio)``.
 
-    Returns the source index at each offset from floor(src), clamped to
-    [0, n_in - 1], and the fraction src - floor(src).
+    Returns the source index at each offset from the anchor
+    floor(src + shift), clamped to [0, n_in - 1], and the fraction
+    src - anchor.
     """
     n_out = _output_length(n_in, ratio)
     src = map_dst_to_src(np.arange(n_out, dtype=np.float64), ratio)
-    anchor = np.floor(src)
+    anchor = np.floor(src + shift)
     taps = [np.clip(anchor + k, 0, n_in - 1).astype(np.int64) for k in offsets]
     return taps, src - anchor
 
@@ -115,16 +118,9 @@ def _weighted_field(
 
 
 def _nearest(image: GrayImage, ratio: float) -> GrayImage:
-    """Nearest-neighbor resize: source index floor(src + 0.5), clamped.
-
-    Not built on ``_axis_taps``: anchor + (frac >= 0.5) can differ from
-    floor(src + 0.5) in the last ulp.
-    """
-    h, w = image.height, image.width
-    sx = map_dst_to_src(np.arange(_output_length(w, ratio), dtype=np.float64), ratio)
-    sy = map_dst_to_src(np.arange(_output_length(h, ratio), dtype=np.float64), ratio)
-    ix = np.clip(np.floor(sx + 0.5), 0, w - 1).astype(np.int64)
-    iy = np.clip(np.floor(sy + 0.5), 0, h - 1).astype(np.int64)
+    """Nearest-neighbor resize: source index floor(src + 0.5), clamped."""
+    (ix,), _ = _axis_taps(image.width, ratio, (0,), 0.5)
+    (iy,), _ = _axis_taps(image.height, ratio, (0,), 0.5)
     return GrayImage(image.pixels[iy[:, None], ix[None, :]])
 
 

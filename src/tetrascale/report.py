@@ -8,6 +8,7 @@ in tests.
 
 from __future__ import annotations
 
+import collections
 import csv
 import math
 import typing
@@ -23,23 +24,48 @@ _PALETTE = dict(
         strict=True,
     )
 )
-#: Color of a tag outside SCHEMES (an aggregates CSV may name any tag).
-_FALLBACK_COLOR = "#9c9c9c"
 
 #: Column name -> the type its text is parsed into.
 _COLUMN_TYPES = typing.get_type_hints(AggregateRow)
 
-#: (attribute, chart file stem, title, y-axis label)
-CHART_SPECS = (
-    ("mean_elapsed_s", "time", "Average time per resize", "seconds"),
-    ("mean_mse", "mse", "Average MSE", "MSE"),
-    ("mean_ssim", "ssim", "Average SSIM", "SSIM"),
-    ("mean_psnr", "psnr", "Average PSNR", "dB"),
+#: How an aggregate attribute is charted (file stem, title, y-axis label) and
+#: summarized (table label); ``better`` is min or max, whichever picks the
+#: better of several values.
+Metric = collections.namedtuple("Metric", "attr stem title ylabel label better")
+
+#: Every charted metric, in summary table order.
+METRICS = (
+    Metric("mean_mse", "mse", "Average MSE", "MSE", "MSE (lower is better)", min),
+    Metric("mean_psnr", "psnr", "Average PSNR", "dB", "PSNR (higher is better)", max),
+    Metric("mean_ssim", "ssim", "Average SSIM", "SSIM", "SSIM (higher is better)", max),
+    Metric(
+        "mean_elapsed_s", "time", "Average time per resize", "seconds",
+        "time (lower is better)", min,
+    ),
+)
+
+_BETTER = {m.attr: m.better for m in METRICS}
+
+#: The paper's orderings: (check name, subject tag, attribute, rival tags).
+#: A check passes when the subject is strictly better than its best rival;
+#: rivals None means every other tag present.
+ORDERINGS = (
+    ("TC_smallest_mean_mse", "TC", "mean_mse", None),
+    ("TC_largest_mean_ssim", "TC", "mean_ssim", None),
+    ("TC_largest_mean_psnr", "TC", "mean_psnr", None),
+    ("TN_smallest_mean_time", "TN", "mean_elapsed_s", None),
+    ("TB_faster_than_MD_HR_AT_AC", "TB", "mean_elapsed_s", ("MD", "HR", "AT", "AC")),
+    ("TB_largest_ssim_among_weighted", "TB", "mean_ssim", ("MD", "HR", "AT", "AC")),
 )
 
 
 def read_aggregates_csv(path) -> list:
-    """Parse an aggregates CSV back into AggregateRow objects."""
+    """Parse an aggregates CSV back into AggregateRow objects.
+
+    Raises ValueError on a malformed row: a wrong column count, a value that
+    does not parse, a tag outside ``SCHEMES``, a NaN metric, or a repeated
+    (algorithm, ratio).
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -50,7 +76,7 @@ def read_aggregates_csv(path) -> list:
             raise ValueError(
                 f"{path}: unexpected header {header!r}, expected {AGGREGATES_HEADER!r}"
             )
-        rows = []
+        rows = {}  # (algorithm, ratio) -> AggregateRow
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -59,12 +85,19 @@ def read_aggregates_csv(path) -> list:
                     name: _COLUMN_TYPES[name](text)
                     for name, text in zip(header, row, strict=True)
                 }
+                key = (values["algorithm"], values["ratio"])
+                if key[0] not in SCHEMES:
+                    raise ValueError(f"unknown algorithm {key[0]!r}")
+                if key in rows:
+                    raise ValueError(f"repeats algorithm and ratio {key!r}")
+                if any(math.isnan(values[m.attr]) for m in METRICS):
+                    raise ValueError("NaN metric")
             except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: malformed row {row!r}") from exc
-            rows.append(AggregateRow(**values))
+                raise ValueError(f"{path}:{line_no}: malformed row {row!r}: {exc}") from exc
+            rows[key] = AggregateRow(**values)
     if not rows:
         raise ValueError(f"{path}: no aggregate rows")
-    return rows
+    return list(rows.values())
 
 
 def _nice_ceiling(value: float) -> float:
@@ -109,7 +142,8 @@ def grouped_bar_svg(rows, value_attr: str, title: str, ylabel: str) -> str:
     y_max = _nice_ceiling(max(finite) if finite else 1.0)
 
     def y_px(value: float) -> float:
-        clipped = min(value, y_max) if math.isfinite(value) else y_max
+        # Clipped to [0, y_max]: inf draws a full bar, a negative value none.
+        clipped = max(0.0, min(y_max, value))
         return margin_top + plot_h * (1.0 - clipped / y_max)
 
     parts = [
@@ -144,10 +178,9 @@ def grouped_bar_svg(rows, value_attr: str, title: str, ylabel: str) -> str:
             x = group_x + bi * (bar_w + bar_gap)
             top = y_px(value)
             bar_h = margin_top + plot_h - top
-            color = _PALETTE.get(tag, _FALLBACK_COLOR)
             parts.append(
                 f'<rect class="bar" x="{x:.1f}" y="{top:.1f}" width="{bar_w}" '
-                f'height="{bar_h:.1f}" fill="{color}"/>'
+                f'height="{bar_h:.1f}" fill="{_PALETTE[tag]}"/>'
             )
             parts.append(
                 f'<text x="{x + bar_w / 2:.1f}" y="{top - 4:.1f}" '
@@ -178,65 +211,35 @@ def _rows_for_ratio(rows, ratio):
 
 
 def expected_ordering_checks(rows, ratio: int) -> dict:
-    """Evaluate the expected algorithm orderings at one ratio.
+    """Evaluate every ``ORDERINGS`` check at one ratio.
 
-    Returns a mapping of check name to True/False, or None when the
-    algorithms a check needs are absent from the rows.
+    Returns a mapping of check name to True/False, or None when the subject
+    or all of its rivals are absent from the rows.
     """
     by_tag = _rows_for_ratio(rows, ratio)
-    others = [t for t in by_tag if t != "TC"]
-    rivals = [t for t in ("MD", "HR", "AT", "AC") if t in by_tag]
-
-    def tc_best(attr, best):
-        if "TC" not in by_tag or not others:
-            return None
-        tc = getattr(by_tag["TC"], attr)
-        rest = [getattr(by_tag[t], attr) for t in others]
-        return tc < min(rest) if best == "min" else tc > max(rest)
-
-    checks = {
-        "TC_smallest_mean_mse": tc_best("mean_mse", "min"),
-        "TC_largest_mean_ssim": tc_best("mean_ssim", "max"),
-        "TC_largest_mean_psnr": tc_best("mean_psnr", "max"),
-    }
-    if "TN" in by_tag and len(by_tag) > 1:
-        tn = by_tag["TN"].mean_elapsed_s
-        checks["TN_smallest_mean_time"] = tn < min(
-            r.mean_elapsed_s for t, r in by_tag.items() if t != "TN"
-        )
-    else:
-        checks["TN_smallest_mean_time"] = None
-    if "TB" in by_tag and rivals:
-        tb = by_tag["TB"]
-        checks["TB_faster_than_MD_HR_AT_AC"] = all(
-            tb.mean_elapsed_s < by_tag[t].mean_elapsed_s for t in rivals
-        )
-        checks["TB_largest_ssim_among_weighted"] = all(
-            tb.mean_ssim > by_tag[t].mean_ssim for t in rivals
-        )
-    else:
-        checks["TB_faster_than_MD_HR_AT_AC"] = None
-        checks["TB_largest_ssim_among_weighted"] = None
+    checks = {}
+    for name, subject, attr, rivals in ORDERINGS:
+        present = [t for t in rivals or by_tag if t in by_tag and t != subject]
+        if subject not in by_tag or not present:
+            checks[name] = None
+            continue
+        better = _BETTER[attr]
+        value = getattr(by_tag[subject], attr)
+        best = better(getattr(by_tag[t], attr) for t in present)
+        # better(best, value) returns best unless value is strictly better.
+        checks[name] = value != best and better(best, value) == value
     return checks
 
 
 def _best_table(rows, ratio) -> list:
     by_tag = _rows_for_ratio(rows, ratio)
-    if not by_tag:
-        return []
     lines = [
         "| metric | best algorithm | value |",
         "| --- | --- | --- |",
     ]
-    picks = (
-        ("mean_mse", "MSE (lower is better)", min),
-        ("mean_psnr", "PSNR (higher is better)", max),
-        ("mean_ssim", "SSIM (higher is better)", max),
-        ("mean_elapsed_s", "time (lower is better)", min),
-    )
-    for attr, label, pick in picks:
-        tag = pick(by_tag, key=lambda t: getattr(by_tag[t], attr))
-        lines.append(f"| {label} | {tag} | {_format_value(getattr(by_tag[tag], attr))} |")
+    for m in METRICS:
+        tag = m.better(by_tag, key=lambda t: getattr(by_tag[t], m.attr))
+        lines.append(f"| {m.label} | {tag} | {_format_value(getattr(by_tag[tag], m.attr))} |")
     return lines
 
 
@@ -268,9 +271,9 @@ def write_report(rows, out_dir) -> list:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for attr, stem, title, ylabel in CHART_SPECS:
-        path = out_dir / f"{stem}.svg"
-        path.write_text(grouped_bar_svg(rows, attr, title, ylabel))
+    for m in METRICS:
+        path = out_dir / f"{m.stem}.svg"
+        path.write_text(grouped_bar_svg(rows, m.attr, m.title, m.ylabel))
         written.append(path)
     summary = out_dir / "summary.md"
     summary.write_text(render_summary_md(rows))

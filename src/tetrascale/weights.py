@@ -66,12 +66,7 @@ def tetragon_weights(dx, dy):
     The areas partition the unit square, so they already sum to one and no
     normalization is applied.
     """
-    return (
-        (1.0 - dx) * (1.0 - dy),
-        dx * (1.0 - dy),
-        (1.0 - dx) * dy,
-        dx * dy,
-    )
+    return tuple(a * b for a, b in corner_sides(dx, dy))
 
 
 def md_areas(dx, dy):

@@ -1,5 +1,6 @@
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from tetrascale.bench import (
     write_records_csv,
     write_summary_json,
 )
-from tetrascale.report import read_aggregates_csv
+from tetrascale.report import read_aggregates_csv, write_report
 import tetrascale.bench as bench_mod
 
 from conftest import constant_image
@@ -114,6 +115,10 @@ class TestBenchConfig:
             {"ratios": (2.5,)},
             {"algorithms": ("XX",)},
             {"algorithms": ()},
+            {"ratios": (2, 2)},
+            {"ratios": (4, 2, 4.0)},
+            {"algorithms": ("TB", "TB")},
+            {"algorithms": ("TN", "TB", "TN")},
             {"intensity_domain": "percent"},
             {"downsampler": "lanczos"},
             {"repetitions": 0},
@@ -341,6 +346,9 @@ GOLDEN_AGGREGATES_CSV = (
     b"TC,2,0.3333333333333333,52.9,0.935,2e-05,1\r\n"
 )
 
+#: Expected ``write_report`` output for GOLDEN_RECORDS, one file per name.
+GOLDEN_REPORT_DIR = Path(__file__).parent / "golden" / "report"
+
 GOLDEN_SUMMARY_JSON = b"""{
   "config": {
     "corpus_dir": "corpus",
@@ -414,6 +422,13 @@ class TestGoldenOutputs:
         path = tmp_path / "summary.json"
         write_summary_json(cfg, aggregate(GOLDEN_RECORDS, ("TB", "TC"), (2, 4)), path)
         assert path.read_bytes() == GOLDEN_SUMMARY_JSON
+
+    @pytest.mark.parametrize(
+        "name", ["summary.md", "time.svg", "mse.svg", "ssim.svg", "psnr.svg"]
+    )
+    def test_report_bytes(self, tmp_path, name):
+        write_report(aggregate(GOLDEN_RECORDS, ("TB", "TC"), (2, 4)), tmp_path)
+        assert (tmp_path / name).read_bytes() == (GOLDEN_REPORT_DIR / name).read_bytes()
 
     def test_aggregates_csv_round_trips(self, tmp_path):
         rows = aggregate(GOLDEN_RECORDS, ("TB", "TC"), (2, 4))

@@ -167,6 +167,14 @@ class TestBenchCommand:
                      "--algorithms", "TB,ZZ"])
         assert code == 1
 
+    @pytest.mark.parametrize("option", [["--ratios", "2,2"], ["--algorithms", "TB,tb"]])
+    def test_repeated_item_is_data_error(self, tmp_path, option):
+        corpus = make_corpus(tmp_path / "c", 1, size=16)
+        code = main(["bench", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+                     *option])
+        assert code == 3
+        assert not (tmp_path / "o").exists()
+
     def test_missing_corpus_is_io_error(self, tmp_path):
         code = main(["bench", "--corpus", str(tmp_path / "none"),
                      "--out", str(tmp_path / "o")])
