@@ -113,7 +113,7 @@ def downsample(image: GrayImage, factor: int, method: str = "box") -> GrayImage:
         raise ValueError(f"dimensions {w}x{h} not divisible by factor {factor}")
     if method == "box":
         blocks = image.pixels.reshape(h // factor, factor, w // factor, factor)
-        return quantize(blocks.astype(np.float64).mean(axis=(1, 3)))
+        return quantize(blocks.mean(axis=(1, 3), dtype=np.float64))
     if method == "decimate":
         return GrayImage(image.pixels[::factor, ::factor])
     raise ValueError(f"unknown downsample method {method!r}")

@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_resize.add_argument("input", help="input image (.pgm or .png)")
     p_resize.add_argument("output", help="output image (.pgm)")
     p_resize.add_argument("--ratio", type=float, required=True)
-    p_resize.add_argument("--scheme", choices=SCHEMES, required=True)
+    p_resize.add_argument("--scheme", type=str.upper, choices=SCHEMES, required=True)
     p_resize.add_argument(
         "--intensity-domain", choices=INTENSITY_DOMAINS, default="raw"
     )

@@ -73,14 +73,15 @@ def to_gray(rgb_samples, width: int, height: int) -> GrayImage:
     ``rgb_samples`` may be a flat sequence of length 3*w*h or an
     (h, w, 3) array. Luma = round(0.299 R + 0.587 G + 0.114 B), clamped.
     """
-    arr = np.asarray(rgb_samples, dtype=np.float64)
+    arr = np.asarray(rgb_samples)
     if arr.size != 3 * width * height:
         raise ValueError(
             f"sample count {arr.size} != 3*width*height = {3 * width * height}"
         )
     arr = arr.reshape(height, width, 3)
-    luma = 0.299 * arr[:, :, 0] + 0.587 * arr[:, :, 1] + 0.114 * arr[:, :, 2]
-    return quantize(luma)
+    # numpy float64 weights make each product float64 for any sample dtype.
+    wr, wg, wb = np.array([0.299, 0.587, 0.114])
+    return quantize(wr * arr[:, :, 0] + wg * arr[:, :, 1] + wb * arr[:, :, 2])
 
 
 def _read_header_tokens(data: bytes, count: int, start: int) -> tuple[list[bytes], int]:

@@ -23,10 +23,10 @@ anchor, plus the fraction src - anchor. The anchor is floor(src) for the 2x2
 schemes (offsets 0, 1) and TC (offsets -1..2), and floor(src + 0.5) for TN
 (offset 0), which rounds as the quantizer does. Indices are clamped while
 still floats, so a coordinate far past the edge (a tiny ratio) cannot
-overflow the integer cast. The 2x2 path takes its corner columns from the
-uint8 source, then their rows, and only then converts to float64; TC
-multiplies float64 coefficients by uint8 samples, which promotes exactly. So
-no float64 copy of the source is made.
+overflow the integer cast. The 2x2 path gathers its four corner grids as
+uint8, and both paths multiply float64 weights or coefficients by uint8
+samples, which promotes them exactly; no float64 copy of the source or of a
+corner grid is made.
 
 ``tests/oracle.py`` defines the semantics one pixel at a time, in plain
 Python; ``resize`` evaluates the same formulas over whole grids with numpy
@@ -106,12 +106,11 @@ def _weighted_field(
     (yt, yb), dys = _axis_taps(image.height, ratio, (0, 1))
     left, right = (np.take(image.pixels, x, axis=1) for x in (xl, xr))
     p1, p2, p3, p4 = (
-        np.take(columns, rows, axis=0).astype(np.float64)
+        np.take(columns, rows, axis=0)
         for rows, columns in ((yt, left), (yt, right), (yb, left), (yb, right))
     )
 
-    weights = _WEIGHTS[scheme]
-    w1, w2, w3, w4 = weights(
+    w1, w2, w3, w4 = _WEIGHTS[scheme](
         dxs[None, :], dys[:, None], (p1, p2, p3, p4), intensity_domain
     )
     return w1 * p1 + w2 * p2 + w3 * p3 + w4 * p4

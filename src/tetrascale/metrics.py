@@ -30,7 +30,7 @@ def _check_same_shape(a: GrayImage, b: GrayImage):
 def mse(a: GrayImage, b: GrayImage) -> float:
     """Mean squared difference over all pixels."""
     _check_same_shape(a, b)
-    diff = a.pixels.astype(np.float64) - b.pixels.astype(np.float64)
+    diff = np.subtract(a.pixels, b.pixels, dtype=np.float64)
     return float(np.mean(diff * diff))
 
 
@@ -49,8 +49,8 @@ def _gaussian_1d(size: int, sigma: float) -> np.ndarray:
 
 
 def _smooth(arr: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # Separable pass; 'reflect' is symmetric padding about the edge.
-    tmp = correlate1d(arr, g, axis=0, mode="reflect")
+    # Separable, edge-symmetric ('reflect') pass; scipy reads uint8 lines as doubles.
+    tmp = correlate1d(arr, g, axis=0, output=np.float64, mode="reflect")
     return correlate1d(tmp, g, axis=1, mode="reflect")
 
 
@@ -63,17 +63,15 @@ def _ssim_map(a: GrayImage, b: GrayImage) -> np.ndarray:
             f"{SSIM_WINDOW_SIZE}x{SSIM_WINDOW_SIZE} SSIM window"
         )
     g = _gaussian_1d(SSIM_WINDOW_SIZE, SSIM_SIGMA)
-    x = a.pixels.astype(np.float64)
-    y = b.pixels.astype(np.float64)
 
-    mu_x = _smooth(x, g)
-    mu_y = _smooth(y, g)
+    mu_x = _smooth(a.pixels, g)
+    mu_y = _smooth(b.pixels, g)
     mu_xx = mu_x * mu_x
     mu_yy = mu_y * mu_y
     mu_xy = mu_x * mu_y
-    var_x = _smooth(x * x, g) - mu_xx
-    var_y = _smooth(y * y, g) - mu_yy
-    cov_xy = _smooth(x * y, g) - mu_xy
+    var_x = _smooth(np.square(a.pixels, dtype=np.float64), g) - mu_xx
+    var_y = _smooth(np.square(b.pixels, dtype=np.float64), g) - mu_yy
+    cov_xy = _smooth(np.multiply(a.pixels, b.pixels, dtype=np.float64), g) - mu_xy
 
     num = (2.0 * mu_xy + _C1) * (2.0 * cov_xy + _C2)
     den = (mu_xx + mu_yy + _C1) * (var_x + var_y + _C2)

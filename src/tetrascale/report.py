@@ -63,8 +63,8 @@ def read_aggregates_csv(path) -> list:
     """Parse an aggregates CSV back into AggregateRow objects.
 
     Raises ValueError on a malformed row: a wrong column count, a value that
-    does not parse, a tag outside ``SCHEMES``, a NaN metric, or a repeated
-    (algorithm, ratio).
+    does not parse, a tag outside ``SCHEMES``, a ratio below 2 or image_count
+    below 1, a NaN metric, or a repeated (algorithm, ratio).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -88,6 +88,8 @@ def read_aggregates_csv(path) -> list:
                 key = (values["algorithm"], values["ratio"])
                 if key[0] not in SCHEMES:
                     raise ValueError(f"unknown algorithm {key[0]!r}")
+                if values["ratio"] < 2 or values["image_count"] < 1:
+                    raise ValueError("ratio below 2 or image_count below 1")
                 if key in rows:
                     raise ValueError(f"repeats algorithm and ratio {key!r}")
                 if any(math.isnan(values[m.attr]) for m in METRICS):

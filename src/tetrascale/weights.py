@@ -15,8 +15,8 @@ Corner order is fixed throughout: P1 top-left, P2 top-right, P3 bottom-left,
 P4 bottom-right. ``dx``/``dy`` are the fractional offsets of P from the
 top-left corner, both in [0, 1].
 
-All functions accept floats or broadcastable numpy arrays and return tuples
-of the same kind, so the resize loops can evaluate a whole grid in one call.
+All functions take floats or broadcastable numpy arrays, uint8 intensities
+too, and return four floats or float64 arrays: one call weights a whole grid.
 """
 
 from __future__ import annotations
@@ -119,10 +119,10 @@ def ac_areas(dx, dy, values):
     """Circle areas with radius sqrt(v^2 + a^2 + b^2) per corner.
 
     The radius is the hypotenuse of the right triangle whose legs are the
-    corner intensity and the tetragon hypotenuse.
+    corner intensity and the tetragon hypotenuse (v^2 in float64: uint8 wraps).
     """
     return tuple(
-        math.pi * (v * v + a * a + b * b)
+        math.pi * (np.square(v, dtype=np.float64) + a * a + b * b)
         for (a, b), v in zip(corner_sides(dx, dy), values)
     )
 

@@ -234,6 +234,7 @@ _ORDERING_GROUPS = {
 }
 
 
+@pytest.mark.slow
 def test_c6_ordering_reproduction(scene_corpus, tmp_path):
     """Soft criterion: run the ratio-4 protocol on >= 20 images under both
     intensity domains and report each ordering check."""

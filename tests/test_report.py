@@ -102,8 +102,13 @@ class TestReadAggregates:
             ("TB,2,1.0,30.0,0.9,0.001,1", "TB,2,2.0,31.0,0.8,0.002,1"),
             ("TB,2,nan,30.0,0.9,0.001,1",),
             ("TB,2,1.0,30.0,NaN,0.001,1",),
+            ("TB,0,1.0,30.0,0.9,0.001,1",),
+            ("TB,2,1.0,30.0,0.9,0.001,-5",),
         ],
-        ids=["markup_tag", "unknown_tag", "repeated_row", "nan_mse", "nan_ssim"],
+        ids=[
+            "markup_tag", "unknown_tag", "repeated_row", "nan_mse", "nan_ssim",
+            "ratio_below_2", "image_count_below_1",
+        ],
     )
     def test_invalid_rows_rejected(self, tmp_path, lines):
         path = _write_aggregates(tmp_path, *lines)

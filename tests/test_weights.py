@@ -219,6 +219,18 @@ class TestSharedInvariants:
         assert md_weights(0.0, 0.0)[0] == 1.0
         assert hr_weights(0.0, 0.0)[0] == 0.5
 
+    @pytest.mark.parametrize("scheme", [at_weights, ac_weights], ids=["at", "ac"])
+    def test_uint8_intensities_match_float64(self, scheme):
+        """Resize passes its gathered uint8 corner grids straight in, so they
+        must weigh exactly as their float64 copies. A uint8 v * v wraps: AC
+        gave the 200 corner 0.139 instead of 0.815."""
+        grids = tuple(np.full((2, 3), v, dtype=np.uint8) for v in (10, 200, 30, 90))
+        from_uint8 = scheme(0.3, 0.6, grids)
+        from_float = scheme(0.3, 0.6, tuple(g.astype(np.float64) for g in grids))
+        for u, f in zip(from_uint8, from_float):
+            assert u.dtype == np.float64
+            assert np.array_equal(u, f)
+
     def test_array_matches_scalar_elementwise(self, rng):
         dx, dy = rng.random(64), rng.random(64)
         v = tuple(rng.uniform(0.0, 255.0, 64) for _ in range(4))
