@@ -28,8 +28,19 @@ uint8, and both paths multiply float64 weights or coefficients by uint8
 samples, which promotes them exactly; no float64 copy of the source or of a
 corner grid is made.
 
+``resize`` allocates the uint8 output once and fills it one band of output
+rows at a time, each band about ``_BAND_PIXELS`` output pixels rounded to
+whole rows. For a band the 2x2 path takes that band's y taps, slices out only
+the source rows they reach, gathers the left and right columns and the four
+corner grids from that slice, then weights, sums and quantizes into the
+band's rows of the output. TC runs its horizontal pass once per resize (an
+h_in x w_out float64 array) and bands the vertical pass; TN is one gather and
+is not banded. Working memory beyond the output is therefore a fixed amount
+per band, plus TC's horizontal pass. Every pixel's arithmetic is the same
+whatever the band, so the bands change no output bit.
+
 ``tests/oracle.py`` defines the semantics one pixel at a time, in plain
-Python; ``resize`` evaluates the same formulas over whole grids with numpy
+Python; ``resize`` evaluates the same formulas over whole bands with numpy
 and must match it bit for bit.
 """
 
@@ -61,8 +72,14 @@ SCHEMES = tuple(_WEIGHTS)
 
 INTENSITY_DOMAINS = ("raw", "unit")
 
-#: Largest output ``resize`` produces, in pixels (8192 x 8192).
+#: Largest output ``resize`` produces, in pixels (8192 x 8192). With the
+#: bands below it bounds the working memory too (README "Memory").
 MAX_OUTPUT_PIXELS = 1 << 26
+
+#: Output pixels per band, rounded to whole rows: about 32k pixels kept AC
+#: fastest at 1024 and 2048 columns, and whole-image or 4-row bands were both
+#: about 2x slower.
+_BAND_PIXELS = 1 << 15
 
 
 def map_dst_to_src(dst_index, scale):
@@ -84,30 +101,44 @@ def _output_length(n: int, ratio: float) -> int:
     return max(1, int(math.floor(n * ratio + 0.5)))
 
 
-def _axis_taps(n_in: int, ratio: float, offsets, shift: float = 0.0):
-    """Source taps for one output axis of length ``_output_length(n_in, ratio)``.
+def _output_shape(image: GrayImage, ratio: float) -> tuple[int, int]:
+    return _output_length(image.height, ratio), _output_length(image.width, ratio)
+
+
+def _axis_taps(n_in: int, ratio: float, dst: range, offsets, shift: float = 0.0):
+    """Source taps for the output indices ``dst`` of one axis.
 
     Returns the source index at each offset from the anchor
     floor(src + shift), clamped to [0, n_in - 1], and the fraction
     src - anchor.
     """
-    n_out = _output_length(n_in, ratio)
-    src = map_dst_to_src(np.arange(n_out, dtype=np.float64), ratio)
+    src = map_dst_to_src(np.arange(dst.start, dst.stop, dtype=np.float64), ratio)
     anchor = np.floor(src + shift)
     taps = [np.clip(anchor + k, 0, n_in - 1).astype(np.int64) for k in offsets]
     return taps, src - anchor
 
 
 def _weighted_field(
-    image: GrayImage, ratio: float, scheme: str, intensity_domain: str = "raw"
+    image: GrayImage,
+    ratio: float,
+    scheme: str,
+    intensity_domain: str = "raw",
+    rows: slice = slice(None),
 ) -> np.ndarray:
-    """Pre-quantization float output of a 2x2 weighted-sum resize."""
-    (xl, xr), dxs = _axis_taps(image.width, ratio, (0, 1))
-    (yt, yb), dys = _axis_taps(image.height, ratio, (0, 1))
-    left, right = (np.take(image.pixels, x, axis=1) for x in (xl, xr))
+    """Pre-quantization float output rows ``rows`` of a 2x2 weighted-sum resize.
+
+    Only the source rows that those output rows reach are gathered.
+    """
+    h_out, w_out = _output_shape(image, ratio)
+    (xl, xr), dxs = _axis_taps(image.width, ratio, range(w_out), (0, 1))
+    (yt, yb), dys = _axis_taps(image.height, ratio, range(h_out)[rows], (0, 1))
+    # Taps grow with the output index, so yt[0] and yb[-1] bound the band.
+    top = yt[0]
+    source = image.pixels[top : yb[-1] + 1]
+    left, right = (np.take(source, x, axis=1) for x in (xl, xr))
     p1, p2, p3, p4 = (
-        np.take(columns, rows, axis=0)
-        for rows, columns in ((yt, left), (yt, right), (yb, left), (yb, right))
+        np.take(columns, taps - top, axis=0)
+        for taps, columns in ((yt, left), (yt, right), (yb, left), (yb, right))
     )
 
     w1, w2, w3, w4 = _WEIGHTS[scheme](
@@ -116,10 +147,10 @@ def _weighted_field(
     return w1 * p1 + w2 * p2 + w3 * p3 + w4 * p4
 
 
-def _nearest(image: GrayImage, ratio: float) -> GrayImage:
-    """Nearest-neighbor resize: source index floor(src + 0.5), clamped."""
-    (ix,), _ = _axis_taps(image.width, ratio, (0,), 0.5)
-    (iy,), _ = _axis_taps(image.height, ratio, (0,), 0.5)
+def _nearest(image: GrayImage, ratio: float, shape: tuple[int, int]) -> GrayImage:
+    """Nearest-neighbor resize to ``shape``: source index floor(src + 0.5), clamped."""
+    (iy,), _ = _axis_taps(image.height, ratio, range(shape[0]), (0,), 0.5)
+    (ix,), _ = _axis_taps(image.width, ratio, range(shape[1]), (0,), 0.5)
     return GrayImage(image.pixels[iy[:, None], ix[None, :]])
 
 
@@ -136,10 +167,11 @@ def cubic_kernel(t):
     return np.where(at <= 1.0, inner, np.where(at < 2.0, outer, 0.0))
 
 
-def _cubic_axis_pass(data: np.ndarray, ratio: float, axis: int):
-    """Resample one axis with the 4-tap cubic kernel over clamped taps."""
+def _cubic_axis_pass(data: np.ndarray, ratio: float, axis: int, dst: range):
+    """Resample one axis at the output indices ``dst`` with the 4-tap cubic
+    kernel over clamped taps."""
     offsets = range(-1, 3)
-    taps, frac = _axis_taps(data.shape[axis], ratio, offsets)
+    taps, frac = _axis_taps(data.shape[axis], ratio, dst, offsets)
     acc = None
     for k, idx in zip(offsets, taps):
         coeff = np.expand_dims(cubic_kernel(frac - k), 1 - axis)
@@ -148,11 +180,14 @@ def _cubic_axis_pass(data: np.ndarray, ratio: float, axis: int):
     return acc
 
 
-def _bicubic_field(image: GrayImage, ratio: float) -> np.ndarray:
-    """Pre-quantization float output of the separable bicubic resize:
-    horizontal pass first, then vertical."""
-    tmp = _cubic_axis_pass(image.pixels, ratio, axis=1)
-    return _cubic_axis_pass(tmp, ratio, axis=0)
+def _bicubic_field(
+    horizontal: np.ndarray, ratio: float, rows: slice = slice(None)
+) -> np.ndarray:
+    """Pre-quantization float output rows ``rows`` of the separable bicubic
+    resize: the vertical pass over ``horizontal``, the h_in x w_out float64
+    output of the horizontal pass."""
+    h_out = _output_length(horizontal.shape[0], ratio)
+    return _cubic_axis_pass(horizontal, ratio, 0, range(h_out)[rows])
 
 
 def resize(
@@ -175,15 +210,25 @@ def resize(
         raise ValueError(f"unknown intensity domain {intensity_domain!r}")
     # A ratio past the limit exceeds it on any input; testing that first keeps
     # n * ratio finite in _output_length.
-    if ratio > MAX_OUTPUT_PIXELS or (
-        _output_length(image.height, ratio) * _output_length(image.width, ratio)
-        > MAX_OUTPUT_PIXELS
-    ):
+    if ratio > MAX_OUTPUT_PIXELS or math.prod(
+        shape := _output_shape(image, ratio)
+    ) > MAX_OUTPUT_PIXELS:
         raise ValueError(
             f"output at ratio {ratio!r} would exceed {MAX_OUTPUT_PIXELS} pixels"
         )
     if scheme == "TN":
-        return _nearest(image, ratio)
+        return _nearest(image, ratio, shape)
+    h_out, w_out = shape
     if scheme == "TC":
-        return _quantize(_bicubic_field(image, ratio))
-    return _quantize(_weighted_field(image, ratio, scheme, intensity_domain))
+        horizontal = _cubic_axis_pass(image.pixels, ratio, 1, range(w_out))
+        field = lambda rows: _bicubic_field(horizontal, ratio, rows)
+    else:
+        field = lambda rows: _weighted_field(
+            image, ratio, scheme, intensity_domain, rows
+        )
+    out = np.empty(shape, dtype=np.uint8)
+    band = max(1, _BAND_PIXELS // w_out)
+    for top in range(0, h_out, band):
+        rows = slice(top, top + band)
+        out[rows] = _quantize(field(rows)).pixels
+    return GrayImage(out)

@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tetrascale import GrayImage, resize
+from tetrascale import GrayImage, interpolate, resize
 from tetrascale.interpolate import (
+    INTENSITY_DOMAINS,
     MAX_OUTPUT_PIXELS,
     SCHEMES,
     _bicubic_field,
+    _cubic_axis_pass,
     _quantize,
     _weighted_field,
     cubic_kernel,
@@ -46,6 +48,24 @@ def formula_image():
     pixels = ((x * 37 + y * 91 + (x * y) % 13) % 256).astype(np.uint8)
     pixels[:8, :8] = 0
     return GrayImage(pixels)
+
+
+def outputs_digest():
+    """SHA-256 over ``formula_image()`` resized by every scheme, domain and
+    ratio 0.75, 1.5, 3.0, 3.7."""
+    img = formula_image()
+    digest = hashlib.sha256()
+    for scheme in SCHEMES:
+        for domain in INTENSITY_DOMAINS:
+            for ratio in (0.75, 1.5, 3.0, 3.7):
+                out = resize(img, ratio, scheme, domain).pixels
+                digest.update(np.asarray(out.shape, dtype=np.int64).tobytes())
+                digest.update(out.tobytes())
+    return digest.hexdigest()
+
+
+#: ``outputs_digest()`` of the code the per-pixel oracle was checked against.
+PINNED_DIGEST = "5f5c686c0494b4899f6b7afb19e281736099a11b641871ae919583ab5a7ebd40"
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +226,7 @@ class TestBicubic:
         h = win = 16
         yy, xx = np.mgrid[0:h, 0:win]
         img = GrayImage((3 * xx + 2 * yy).astype(np.uint8))
-        field = _bicubic_field(img, 2.0)
+        field = _bicubic_field(_cubic_axis_pass(img.pixels, 2.0, 1, range(2 * win)), 2.0)
         sx = (np.arange(field.shape[1]) + 0.5) / 2.0 - 0.5
         sy = (np.arange(field.shape[0]) + 0.5) / 2.0 - 0.5
         # Keep taps anchor-1 .. anchor+2 inside the image.
@@ -278,36 +298,73 @@ class TestResizeDispatch:
         formula-built image with a black corner. Its .5 ties flip when a
         summation order changes (a separable TB moves 1, 8 and 22 pixels at
         ratios 0.75, 1.5 and 3.7), which the 9x8 oracle test can miss."""
-        img = formula_image()
-        digest = hashlib.sha256()
-        for scheme in SCHEMES:
-            for domain in ("raw", "unit"):
-                for ratio in (0.75, 1.5, 3.0, 3.7):
-                    out = resize(img, ratio, scheme, domain).pixels
-                    digest.update(np.asarray(out.shape, dtype=np.int64).tobytes())
-                    digest.update(out.tobytes())
-        assert digest.hexdigest() == (
-            "5f5c686c0494b4899f6b7afb19e281736099a11b641871ae919583ab5a7ebd40"
-        )
+        assert outputs_digest() == PINNED_DIGEST
 
+    # 2592 pixels makes bands of 7 to 36 rows here, none of which divides the
+    # output height of formula_image() or of the 300x97 image below.
+    @pytest.mark.parametrize("band_pixels", (1, 2592))
+    def test_band_seams_are_exact(self, band_pixels, rng, monkeypatch):
+        """Bands of one row, and bands that do not divide the output height,
+        change no output byte. The black block lies in a later band, so AT's
+        all-zero fallback runs there and not in the first band."""
+        pixels = rng.integers(0, 256, (300, 97)).astype(np.uint8)
+        pixels[200:212, 30:42] = 0
+        img = GrayImage(pixels)
+        cases = [
+            (scheme, domain, ratio)
+            for scheme in SCHEMES
+            for domain in INTENSITY_DOMAINS
+            for ratio in (0.75, 3.0, 3.7)
+        ]
+        monkeypatch.setattr(interpolate, "_BAND_PIXELS", MAX_OUTPUT_PIXELS)
+        whole = [resize(img, ratio, s, d).pixels for s, d, ratio in cases]
+        monkeypatch.setattr(interpolate, "_BAND_PIXELS", band_pixels)
+        assert outputs_digest() == PINNED_DIGEST
+        for (scheme, domain, ratio), expected in zip(cases, whole):
+            out = resize(img, ratio, scheme, domain).pixels
+            assert np.array_equal(out, expected), (scheme, domain, ratio)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("domain", INTENSITY_DOMAINS)
+    def test_working_memory_is_banded(self, scheme, domain):
+        """A 96x64 -> 1536x1024 resize allocates at most the output and its
+        final ``GrayImage`` copy (2 B/px) plus 8 MiB, whatever the output
+        size: measured 3.0 to 6.4 MiB with numpy 2.4. Resizing the whole
+        output at once took 49 to 236 MiB."""
+        img = formula_image()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = resize(img, 16, scheme, domain)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.pixels.shape == (1024, 1536)
+        assert peak < 2 * out.pixels.size + 8 * 2**20
+
+    # Each id ends with the bound the scheme had when the whole output was
+    # computed at once, so the ids are the same as before the bands.
     @pytest.mark.parametrize(
         "scheme,domain,bound",
         [
-            ("TB", "raw", 56),
-            ("MD", "raw", 80),
-            ("HR", "raw", 80),
-            ("AT", "raw", 128),
-            ("AT", "unit", 160),
-            ("AC", "raw", 80),
-            ("AC", "unit", 112),
+            pytest.param("TB", "raw", 29, id="TB-raw-56"),
+            pytest.param("MD", "raw", 34, id="MD-raw-80"),
+            pytest.param("HR", "raw", 34, id="HR-raw-80"),
+            pytest.param("AT", "raw", 50, id="AT-raw-128"),
+            pytest.param("AT", "unit", 61, id="AT-unit-160"),
+            pytest.param("AC", "raw", 34, id="AC-raw-80"),
+            pytest.param("AC", "unit", 45, id="AC-unit-112"),
         ],
     )
     def test_allocation_peak_per_output_pixel(self, scheme, domain, bound):
-        """Peak bytes allocated by one 384x256 resize, per output pixel. Each
-        bound is the peak measured with numpy 2.4 (TB 53.4, MD/HR/AC-raw 77.7,
-        AT-raw 125.7, AT-unit 157.7, AC-unit 109.7) plus less than 8 B/px,
-        one float64 grid, so a float64 copy of the pixels or of a corner grid
-        fails it. The black corner runs AT's fallback, its largest path."""
+        """Peak bytes allocated by one 384x256 resize, per output pixel. The
+        output is four bands (85, 85, 85 and 1 rows), so one float64 grid of
+        an 85-row band is about 2.7 B/px. Each bound is the peak measured with numpy 2.4 (TB
+        21.3, MD/HR/AC-raw 26.9, AT-raw 42.9, AT-unit 53.5, AC-unit 37.5) plus
+        less than 8 B/px, so one float64 grid the size of the whole output
+        fails it, and so do three more band-sized ones. The black corner runs
+        AT's fallback, its largest path."""
         img = formula_image()
         tracemalloc.start()
         try:
