@@ -3,7 +3,9 @@
 For every reference image the harness produces a low-resolution input (box
 averaging, decimation, or a precomputed file), upscales it back with each
 configured algorithm at each ratio, times the resize alone, and scores the
-result against the reference with MSE/PSNR/SSIM.
+result against the reference with MSE/PSNR/SSIM. Each reference gets one
+``metrics.Scorer``, built before any resize, which smooths the reference
+once for all of its records.
 
 Timed sections always run exclusively; each record is scored serially
 right after its timing. Scores are computed from an untimed warm-up run
@@ -27,7 +29,7 @@ import numpy as np
 
 from .image import GrayImage, load_image, quantize, save_pgm
 from .interpolate import INTENSITY_DOMAINS, SCHEMES, resize
-from .metrics import mse, psnr, ssim
+from .metrics import Scorer
 
 DOWNSAMPLERS = ("box", "decimate", "precomputed")
 
@@ -187,6 +189,7 @@ def run_benchmark(config: BenchConfig):
         images_dir.mkdir(parents=True, exist_ok=True)
     for path in files:
         reference = load_image(path)
+        scorer = Scorer(reference)
         image_id = path.stem
         for ratio in config.ratios:
             low = _lowres_input(config, path, reference, ratio)
@@ -200,15 +203,7 @@ def run_benchmark(config: BenchConfig):
                         f" != reference {reference.width}x{reference.height}"
                     )
                 records.append(
-                    BenchRecord(
-                        image_id,
-                        tag,
-                        ratio,
-                        mse(reference, output),
-                        psnr(reference, output),
-                        ssim(reference, output),
-                        elapsed,
-                    )
+                    BenchRecord(image_id, tag, ratio, *scorer.score(output), elapsed)
                 )
                 if config.save_images:
                     save_pgm(output, images_dir / f"{image_id}_{tag}_x{ratio}.pgm")

@@ -20,7 +20,7 @@ from .bench import (
 )
 from .image import FormatError, load_image, save_pgm
 from .interpolate import INTENSITY_DOMAINS, SCHEMES, resize
-from .metrics import mse, psnr, ssim
+from .metrics import Scorer
 from .report import read_aggregates_csv, write_report
 
 EXIT_OK = 0
@@ -131,9 +131,10 @@ def cmd_resize(args) -> int:
 def cmd_metrics(args) -> int:
     a = load_image(args.image_a)
     b = load_image(args.image_b)
-    print(f"mse={mse(a, b):#.6g}")
-    print(f"psnr={psnr(a, b):#.6g}")
-    print(f"ssim={ssim(a, b):#.6g}")
+    err, db, similarity = Scorer(a).score(b)
+    print(f"mse={err:#.6g}")
+    print(f"psnr={db:#.6g}")
+    print(f"ssim={similarity:#.6g}")
     return EXIT_OK
 
 

@@ -33,7 +33,8 @@ rows at a time, each band about ``_BAND_PIXELS`` output pixels rounded to
 whole rows. For a band the 2x2 path takes that band's y taps, slices out only
 the source rows they reach, gathers the left and right columns and the four
 corner grids from that slice, then weights, sums and quantizes into the
-band's rows of the output. TC runs its horizontal pass once per resize (an
+band's rows of the output; the column taps are the same for every band, so
+``resize`` computes them once. TC runs its horizontal pass once per resize (an
 h_in x w_out float64 array) and bands the vertical pass; TN is one gather and
 is not banded. Working memory beyond the output is therefore a fixed amount
 per band, plus TC's horizontal pass. Every pixel's arithmetic is the same
@@ -124,13 +125,20 @@ def _weighted_field(
     scheme: str,
     intensity_domain: str = "raw",
     rows: slice = slice(None),
+    x_taps=None,
 ) -> np.ndarray:
     """Pre-quantization float output rows ``rows`` of a 2x2 weighted-sum resize.
 
     Only the source rows that those output rows reach are gathered.
+    ``x_taps`` is ``_axis_taps``'s result for every output column; ``resize``
+    computes it once and passes it to every band, and it is computed here
+    when not given.
     """
-    h_out, w_out = _output_shape(image, ratio)
-    (xl, xr), dxs = _axis_taps(image.width, ratio, range(w_out), (0, 1))
+    if x_taps is None:
+        w_out = _output_length(image.width, ratio)
+        x_taps = _axis_taps(image.width, ratio, range(w_out), (0, 1))
+    (xl, xr), dxs = x_taps
+    h_out = _output_length(image.height, ratio)
     (yt, yb), dys = _axis_taps(image.height, ratio, range(h_out)[rows], (0, 1))
     # Taps grow with the output index, so yt[0] and yb[-1] bound the band.
     top = yt[0]
@@ -223,8 +231,9 @@ def resize(
         horizontal = _cubic_axis_pass(image.pixels, ratio, 1, range(w_out))
         field = lambda rows: _bicubic_field(horizontal, ratio, rows)
     else:
+        x_taps = _axis_taps(image.width, ratio, range(w_out), (0, 1))
         field = lambda rows: _weighted_field(
-            image, ratio, scheme, intensity_domain, rows
+            image, ratio, scheme, intensity_domain, rows, x_taps
         )
     out = np.empty(shape, dtype=np.uint8)
     band = max(1, _BAND_PIXELS // w_out)

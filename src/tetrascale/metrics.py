@@ -3,6 +3,14 @@
 SSIM uses the conventional defaults: 11x11 Gaussian window with sigma 1.5,
 K1 = 0.01, K2 = 0.03, dynamic range 255. The local map has the same size as
 the inputs; borders are handled by reflective (symmetric) padding.
+
+``Scorer`` scores outputs against one reference. It smooths the reference
+once, keeping its local mean and variance (two float64 maps), so each output
+costs one MSE and three smooths: its local mean, its local mean square and
+the local mean of the product. ``mse``, ``psnr`` and ``ssim`` compute the
+same arithmetic for a single pair, so their values equal ``Scorer.score``'s
+bit for bit. Squares and products are formed as uint16, which holds 255^2
+exactly; the smoothing reads every line as doubles.
 """
 
 from __future__ import annotations
@@ -27,19 +35,27 @@ def _check_same_shape(a: GrayImage, b: GrayImage):
         )
 
 
+def _mse(x: np.ndarray, y: np.ndarray) -> float:
+    diff = np.subtract(x, y, dtype=np.float64)
+    diff *= diff
+    return float(np.mean(diff))
+
+
+def _psnr(err: float) -> float:
+    if err == 0.0:
+        return math.inf
+    return 10.0 * math.log10(255.0**2 / err)
+
+
 def mse(a: GrayImage, b: GrayImage) -> float:
     """Mean squared difference over all pixels."""
     _check_same_shape(a, b)
-    diff = np.subtract(a.pixels, b.pixels, dtype=np.float64)
-    return float(np.mean(diff * diff))
+    return _mse(a.pixels, b.pixels)
 
 
 def psnr(a: GrayImage, b: GrayImage) -> float:
     """Peak signal-to-noise ratio in dB; +inf for identical images."""
-    err = mse(a, b)
-    if err == 0.0:
-        return math.inf
-    return 10.0 * math.log10(255.0**2 / err)
+    return _psnr(mse(a, b))
 
 
 def _gaussian_1d(size: int, sigma: float) -> np.ndarray:
@@ -48,34 +64,80 @@ def _gaussian_1d(size: int, sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
-def _smooth(arr: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # Separable, edge-symmetric ('reflect') pass; scipy reads uint8 lines as doubles.
-    tmp = correlate1d(arr, g, axis=0, output=np.float64, mode="reflect")
-    return correlate1d(tmp, g, axis=1, mode="reflect")
+_WINDOW = _gaussian_1d(SSIM_WINDOW_SIZE, SSIM_SIGMA)
+
+
+def _smooth(arr: np.ndarray) -> np.ndarray:
+    # Separable, edge-symmetric ('reflect') pass; scipy reads integer lines as doubles.
+    tmp = correlate1d(arr, _WINDOW, axis=0, output=np.float64, mode="reflect")
+    return correlate1d(tmp, _WINDOW, axis=1, mode="reflect")
+
+
+class Scorer:
+    """MSE, PSNR and SSIM of same-size outputs against one reference image.
+
+    Raises ValueError on construction if the reference is smaller than the
+    SSIM window, and in ``score`` if an output's size differs from it.
+    """
+
+    def __init__(self, reference: GrayImage):
+        if min(reference.width, reference.height) < SSIM_WINDOW_SIZE:
+            raise ValueError(
+                f"image {reference.width}x{reference.height} smaller than the "
+                f"{SSIM_WINDOW_SIZE}x{SSIM_WINDOW_SIZE} SSIM window"
+            )
+        self.reference = reference
+        x = reference.pixels
+        self._mu_x = _smooth(x)
+        self._var_x = _smooth(np.square(x, dtype=np.uint16))
+        self._var_x -= self._mu_x * self._mu_x
+
+    def score(self, output: GrayImage) -> tuple[float, float, float]:
+        """``(mse, psnr, ssim)`` of ``output`` against the reference."""
+        _check_same_shape(self.reference, output)
+        err = _mse(self.reference.pixels, output.pixels)
+        return err, _psnr(err), float(np.mean(self._ssim_map(output)))
+
+    def _ssim_map(self, output: GrayImage) -> np.ndarray:
+        """Local SSIM map of ``output``, which has the reference's size.
+
+        Evaluates num / den with num = (2 mu_xy + C1)(2 cov_xy + C2) and
+        den = (mu_xx + mu_yy + C1)(var_x + var_y + C2) in place, operand for
+        operand as written: only the order of commutative operands differs,
+        which changes no bit. Partial sums such as mu_xx + C1 are not
+        precomputed, because regrouping a sum does change bits.
+        """
+        x, y = self.reference.pixels, output.pixels
+        mu_x, var_x = self._mu_x, self._var_x
+
+        mu_y = _smooth(y)
+        var_y = _smooth(np.square(y, dtype=np.uint16))
+        den = mu_y * mu_y  # mu_yy
+        var_y -= den
+        den += mu_x * mu_x
+        den += _C1
+        var_y += var_x
+        var_y += _C2
+        den *= var_y
+        del var_y  # one map fewer while the third smooth runs
+
+        num = mu_y
+        num *= mu_x  # mu_xy
+        cov = _smooth(np.multiply(x, y, dtype=np.uint16))
+        cov -= num
+        num *= 2.0
+        num += _C1
+        cov *= 2.0
+        cov += _C2
+        num *= cov
+        num /= den
+        return num
 
 
 def _ssim_map(a: GrayImage, b: GrayImage) -> np.ndarray:
     """Local SSIM map, same size as the inputs."""
     _check_same_shape(a, b)
-    if min(a.width, a.height) < SSIM_WINDOW_SIZE:
-        raise ValueError(
-            f"image {a.width}x{a.height} smaller than the "
-            f"{SSIM_WINDOW_SIZE}x{SSIM_WINDOW_SIZE} SSIM window"
-        )
-    g = _gaussian_1d(SSIM_WINDOW_SIZE, SSIM_SIGMA)
-
-    mu_x = _smooth(a.pixels, g)
-    mu_y = _smooth(b.pixels, g)
-    mu_xx = mu_x * mu_x
-    mu_yy = mu_y * mu_y
-    mu_xy = mu_x * mu_y
-    var_x = _smooth(np.square(a.pixels, dtype=np.float64), g) - mu_xx
-    var_y = _smooth(np.square(b.pixels, dtype=np.float64), g) - mu_yy
-    cov_xy = _smooth(np.multiply(a.pixels, b.pixels, dtype=np.float64), g) - mu_xy
-
-    num = (2.0 * mu_xy + _C1) * (2.0 * cov_xy + _C2)
-    den = (mu_xx + mu_yy + _C1) * (var_x + var_y + _C2)
-    return num / den
+    return Scorer(a)._ssim_map(b)
 
 
 def ssim(a: GrayImage, b: GrayImage) -> float:

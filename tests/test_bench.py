@@ -11,9 +11,13 @@ from tetrascale import (
     BenchRecord,
     GrayImage,
     downsample,
+    load_image,
+    mse,
+    psnr,
     resize,
     run_benchmark,
     save_pgm,
+    ssim,
     time_algorithm,
 )
 from tetrascale.bench import (
@@ -241,6 +245,27 @@ class TestRunBenchmark:
         run_benchmark(cfg)
         saved = sorted(p.name for p in (tmp_path / "out" / "images").iterdir())
         assert saved == ["img00_TB_x2.pgm", "img00_TN_x2.pgm"]
+
+    def test_scores_equal_free_functions_on_saved_outputs(self, tmp_path):
+        corpus = make_corpus(tmp_path / "c", 2, size=24)
+        cfg = BenchConfig(
+            corpus_dir=corpus,
+            output_dir=tmp_path / "out",
+            repetitions=1,
+            save_images=True,
+        )
+        records, _ = run_benchmark(cfg)
+        assert len(records) == 2 * 2 * 7
+        for r in records:
+            reference = load_image(corpus / f"{r.image_id}.pgm")
+            output = load_image(
+                tmp_path / "out" / "images" / f"{r.image_id}_{r.algorithm}_x{r.ratio}.pgm"
+            )
+            assert (r.mse, r.psnr, r.ssim) == (
+                mse(reference, output),
+                psnr(reference, output),
+                ssim(reference, output),
+            )
 
 
 class TestCsvOutput:

@@ -127,6 +127,16 @@ class TestMetricsCommand:
 
 
 class TestBenchCommand:
+    def test_reference_smaller_than_ssim_window_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        corpus.mkdir()
+        save_pgm(gray(8, 8, list(range(64))), corpus / "tiny.pgm")
+        code = main(["bench", "--corpus", str(corpus), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "tetrascale: error: image 8x8 smaller than the 11x11 SSIM window\n"
+        )
+
     def test_default_grid_row_count(self, tmp_path):
         corpus = make_corpus(tmp_path / "c", 2, size=16)
         out = tmp_path / "out"

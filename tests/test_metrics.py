@@ -1,10 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tetrascale import GrayImage, mse, psnr, ssim
-from tetrascale.metrics import SSIM_SIGMA, SSIM_WINDOW_SIZE, _gaussian_1d, _ssim_map
+from tetrascale import SCHEMES, GrayImage, downsample, metrics, mse, psnr, resize, ssim
+from tetrascale.metrics import (
+    SSIM_SIGMA,
+    SSIM_WINDOW_SIZE,
+    Scorer,
+    _gaussian_1d,
+    _ssim_map,
+)
 
 from conftest import constant_image, gray
 
@@ -130,3 +137,93 @@ class TestSsim:
             full=True,
         )
         assert np.max(np.abs(mine - theirs)) < 1e-9
+
+
+def _scene(height, width):
+    """A smooth gradient with a bright disc and a dark bar: edges and flats."""
+    yy, xx = np.mgrid[0:height, 0:width]
+    img = 40 + 150 * xx / width + 30 * np.sin(yy / 5.0)
+    img[(yy - height / 2) ** 2 + (xx - width / 3) ** 2 < (height / 4) ** 2] = 240
+    img[height // 5 : height // 5 + 6, width // 2 :] = 10
+    return GrayImage(np.clip(np.rint(img), 0, 255).astype(np.uint8))
+
+
+def _pairs():
+    rng = np.random.default_rng(5)
+    random = rng.integers(0, 256, (37, 61)).astype(np.uint8)
+    reference = _scene(64, 96)
+    low = downsample(reference, 4)
+    yield "flat", constant_image(40, 33, 90), constant_image(40, 33, 130)
+    yield "identical", GrayImage(random), GrayImage(random)
+    yield "inverted", GrayImage(random), GrayImage(255 - random)
+    yield "random-odd", GrayImage(random), GrayImage(
+        rng.integers(0, 256, (37, 61)).astype(np.uint8)
+    )
+    for tag in SCHEMES:
+        yield f"scene-{tag}", reference, resize(low, 4, tag)
+
+
+class TestScorer:
+    """One scorer per reference: the reference is smoothed once, and every
+    score equals the free functions' values exactly."""
+
+    @pytest.mark.parametrize(
+        "name,reference,output", [pytest.param(*p, id=p[0]) for p in _pairs()]
+    )
+    def test_score_equals_free_functions(self, name, reference, output):
+        expected = (
+            mse(reference, output),
+            psnr(reference, output),
+            ssim(reference, output),
+        )
+        assert Scorer(reference).score(output) == expected
+        if name == "identical":
+            assert expected[1:] == (math.inf, 1.0)
+
+    def test_reference_smoothed_once(self, monkeypatch):
+        calls = []
+        original = metrics._smooth
+
+        def counted(arr):
+            calls.append(1)
+            return original(arr)
+
+        monkeypatch.setattr(metrics, "_smooth", counted)
+        reference = _scene(48, 40)
+        scorer = Scorer(reference)
+        assert len(calls) == 2
+        outputs = [resize(downsample(reference, 4), 4, tag) for tag in ("TB", "AC")]
+        for n, output in enumerate(outputs, start=1):
+            scorer.score(output)
+            assert len(calls) == 2 + 3 * n
+
+    def test_dimension_mismatch(self):
+        scorer = Scorer(constant_image(16, 16, 0))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            scorer.score(constant_image(16, 12, 0))
+
+    def test_reference_smaller_than_window(self):
+        with pytest.raises(ValueError, match="smaller than"):
+            Scorer(constant_image(8, 40, 0))
+
+    def test_ssim_allocation_peak_per_pixel(self):
+        """Peak bytes ``ssim`` allocates for one 512x512 pair, per pixel.
+        Measured 50.0 B/px with numpy 2.4 and scipy 1.17, during the third
+        smooth: the scorer's two float64 maps, the two held for the output,
+        that smooth's temporary and result, and its uint16 input. The bound
+        adds 6 B/px, so one more float64 map (8 B/px) fails it; holding all
+        five smooths and their products at once took 88 B/px."""
+        rng = np.random.default_rng(9)
+        a, b = (
+            GrayImage(rng.integers(0, 256, (512, 512)).astype(np.uint8))
+            for _ in range(2)
+        )
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            ssim(a, b)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / a.pixels.size < 56
