@@ -34,11 +34,21 @@ whole rows. For a band the 2x2 path takes that band's y taps, slices out only
 the source rows they reach, gathers the left and right columns and the four
 corner grids from that slice, then weights, sums and quantizes into the
 band's rows of the output; the column taps are the same for every band, so
-``resize`` computes them once. TC runs its horizontal pass once per resize (an
-h_in x w_out float64 array) and bands the vertical pass; TN is one gather and
-is not banded. Working memory beyond the output is therefore a fixed amount
-per band, plus TC's horizontal pass. Every pixel's arithmetic is the same
-whatever the band, so the bands change no output bit.
+``resize`` computes them once. Each band calls its scheme's ``weights``
+function once, with dx as a row and dy as a column. For MD, HR and AT that
+function evaluates the position-only factors once per distinct (dx, dy) of
+the band and gathers them out to the band, except along an axis where more
+than half the values are distinct (see ``weights``). The weighted sum then
+runs in the four weight buffers, in the oracle's order
+((w1*p1 + w2*p2) + w3*p3) + w4*p4: each weight is multiplied by its corner in
+place and accumulated into the first.
+
+TC runs its horizontal pass once per resize (an h_in x w_out float64 array)
+and bands the vertical pass. TN is not banded: it gathers its columns, then
+its rows, with one ``np.take`` each. Working memory beyond the output is
+therefore a fixed amount per band, plus TC's horizontal pass. Every pixel's
+arithmetic is the same whatever the band or the table, so neither changes an
+output bit.
 
 ``tests/oracle.py`` defines the semantics one pixel at a time, in plain
 Python; ``resize`` evaluates the same formulas over whole bands with numpy
@@ -152,14 +162,20 @@ def _weighted_field(
     w1, w2, w3, w4 = _WEIGHTS[scheme](
         dxs[None, :], dys[:, None], (p1, p2, p3, p4), intensity_domain
     )
-    return w1 * p1 + w2 * p2 + w3 * p3 + w4 * p4
+    # ((w1*p1 + w2*p2) + w3*p3) + w4*p4, the oracle's order, in the weight
+    # buffers: the weights functions return fresh band-shaped float64 arrays.
+    acc = np.multiply(w1, p1, out=w1)
+    for wk, pk in ((w2, p2), (w3, p3), (w4, p4)):
+        acc += np.multiply(wk, pk, out=wk)
+    return acc
 
 
 def _nearest(image: GrayImage, ratio: float, shape: tuple[int, int]) -> GrayImage:
     """Nearest-neighbor resize to ``shape``: source index floor(src + 0.5), clamped."""
     (iy,), _ = _axis_taps(image.height, ratio, range(shape[0]), (0,), 0.5)
     (ix,), _ = _axis_taps(image.width, ratio, range(shape[1]), (0,), 0.5)
-    return GrayImage(image.pixels[iy[:, None], ix[None, :]])
+    columns = np.take(image.pixels, ix, axis=1)
+    return GrayImage(np.take(columns, iy, axis=0))
 
 
 #: Keys cubic-convolution coefficient ("traditional bicubic").

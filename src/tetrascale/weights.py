@@ -17,6 +17,31 @@ top-left corner, both in [0, 1].
 
 All functions take floats or broadcastable numpy arrays, uint8 intensities
 too, and return four floats or float64 arrays: one call weights a whole grid.
+No argument is ever written to.
+
+Position-only tables. MD and HR weights, and AT's half-hypotenuse factor
+``0.5 * sqrt(a*a + b*b)``, depend only on (dx, dy). When ``dx`` is a row
+(shape (1, w)) and ``dy`` a column (shape (h, 1)), as ``resize`` passes them,
+``_per_distinct`` evaluates such an expression once on the grid of distinct
+dy x distinct dx (``_distinct``: what ``np.unique(..., return_inverse=True)``
+gives) and expands each result with one ``np.take`` per axis. An axis whose
+distinct values number more than half its length is evaluated directly
+instead, since there the sort and the gather cost more than they save (at
+ratio 2.7*sqrt(2) no fraction repeats). The choice is made per axis and per
+call, from the values alone. Each table entry is the same elementwise
+arithmetic on the same operands, so the table changes no bit. AT's factor
+can be tabled exactly because its areas evaluate as
+``(0.5 * sqrt(...)) * v``; TB stays direct (one multiply per corner is
+cheaper than a gather) and AC has no position-only prefix (``v * v`` is
+added first).
+
+In-place arithmetic. Every band-sized step writes into an array that this
+module's own code allocated in that call, never into an argument: each MD,
+HR and AC area is built in one buffer, AT multiplies its half-hypotenuses by
+the corner values in place, and normalization sums the four areas into one
+buffer and divides into the areas. Scalars, and arrays whose shape or dtype
+cannot hold the result, take the ordinary out-of-place path, with the same
+values.
 """
 
 from __future__ import annotations
@@ -46,17 +71,90 @@ def corner_sides(dx, dy):
     )
 
 
+def _in_place(ufunc, buf, *operands):
+    """``ufunc(buf, *operands)``, written into ``buf`` when ``buf`` is a
+    float64 array that holds the whole result; otherwise a new value.
+
+    Callers pass only a ``buf`` that their own code allocated.
+    """
+    if (
+        type(buf) is np.ndarray
+        and buf.dtype == np.float64
+        and all(_fits(buf, operand) for operand in operands)
+    ):
+        return ufunc(buf, *operands, out=buf)
+    return ufunc(buf, *operands)
+
+
+def _fits(buf, operand):
+    """Whether ``operand`` broadcasts to ``buf``'s shape and promotes to its
+    dtype. Checked by type first: the ``np`` calls cost microseconds."""
+    if isinstance(operand, (int, float)):
+        return True
+    return (
+        type(operand) is np.ndarray
+        and np.promote_types(operand.dtype, buf.dtype) == buf.dtype
+        and (
+            operand.shape == buf.shape
+            or np.broadcast(buf, operand).shape == buf.shape
+        )
+    )
+
+
+def _distinct(values):
+    """Sorted distinct values of a 1-D axis and the inverse that expands them
+    back, or the axis itself and None when more than half its values are
+    distinct.
+
+    The same result as ``np.unique(values, return_inverse=True)``; a sort and
+    a comparison cost about 10 us on a 1024-wide axis, ``np.unique`` 45 us,
+    and an axis that goes direct pays only for the sort.
+    """
+    ordered = np.sort(values)
+    starts = ordered[1:] != ordered[:-1]
+    if 2 * (1 + np.count_nonzero(starts)) > values.size:
+        return values, None
+    distinct = np.concatenate((ordered[:1], ordered[1:][starts]))
+    return distinct, np.searchsorted(distinct, values)
+
+
+def _per_distinct(expression, dx, dy):
+    """``expression(dx, dy)``, a tuple of position-only arrays, evaluated once
+    per distinct (dx, dy) when ``dx`` is a row and ``dy`` a column.
+
+    Any other input is evaluated directly. See the module docstring.
+    """
+    if not (np.ndim(dx) == np.ndim(dy) == 2 and dx.shape[0] == dy.shape[1] == 1):
+        return expression(dx, dy)
+    xs, x_inverse = _distinct(dx[0])
+    ys, y_inverse = _distinct(dy[:, 0])
+    if x_inverse is None and y_inverse is None:
+        return expression(dx, dy)
+    table = expression(xs[None, :], ys[:, None])
+    if x_inverse is not None:
+        table = tuple(np.take(t, x_inverse, axis=1) for t in table)
+    if y_inverse is not None:
+        table = tuple(np.take(t, y_inverse, axis=0) for t in table)
+    return table
+
+
 def _normalized_or_tetragon(raw, dx, dy):
     """Normalize raw weights, falling back to tetragon weights where the
-    sum is degenerate (e.g. all-zero intensities in AT)."""
-    total = raw[0] + raw[1] + raw[2] + raw[3]
+    sum is degenerate (e.g. all-zero intensities in AT).
+
+    ``raw`` must be areas this module allocated: they are divided in place.
+    """
+    total = raw[0] + raw[1]
+    total = _in_place(np.add, total, raw[2])
+    total = _in_place(np.add, total, raw[3])
     bad = total < EPSILON
     if not np.any(bad):
-        return tuple(w / total for w in raw)
+        return tuple(_in_place(np.divide, w, total) for w in raw)
     fallback = tetragon_weights(dx, dy)
     safe = np.where(bad, 1.0, total)
     return tuple(
-        np.where(bad, f, w / safe) for f, w in zip(fallback, raw)
+        np.where(bad, f, _in_place(np.divide, w, safe))
+        for f, w in zip(fallback, raw)
     )
 
 
@@ -64,7 +162,7 @@ def tetragon_weights(dx, dy):
     """Bilinear weights: the four opposite-tetragon areas.
 
     The areas partition the unit square, so they already sum to one and no
-    normalization is applied.
+    normalization is applied. Evaluated directly, never tabled.
     """
     return tuple(a * b for a, b in corner_sides(dx, dy))
 
@@ -72,38 +170,57 @@ def tetragon_weights(dx, dy):
 def md_areas(dx, dy):
     """Circle areas using each tetragon's minimum side as the diameter."""
     return tuple(
-        _QUARTER_PI * np.minimum(a, b) ** 2 for a, b in corner_sides(dx, dy)
+        _in_place(np.multiply, _in_place(np.square, np.minimum(a, b)), _QUARTER_PI)
+        for a, b in corner_sides(dx, dy)
     )
 
 
 def md_weights(dx, dy):
-    """Normalized minimum-side-diameter circle weights."""
-    return _normalized_or_tetragon(md_areas(dx, dy), dx, dy)
+    """Normalized minimum-side-diameter circle weights, tabled per distinct
+    (dx, dy)."""
+    return _per_distinct(
+        lambda x, y: _normalized_or_tetragon(md_areas(x, y), x, y), dx, dy
+    )
 
 
 def hr_areas(dx, dy):
     """Circle areas using each tetragon's hypotenuse as the radius."""
-    return tuple(math.pi * (a * a + b * b) for a, b in corner_sides(dx, dy))
+    return tuple(
+        _in_place(np.multiply, np.add(a * a, b * b), math.pi)
+        for a, b in corner_sides(dx, dy)
+    )
 
 
 def hr_weights(dx, dy):
-    """Normalized hypotenuse-radius circle weights.
+    """Normalized hypotenuse-radius circle weights, tabled per distinct
+    (dx, dy).
 
     Note this scheme is not interpolating: at offset (0, 0) the coincident
     corner gets weight 0.5, not 1.
     """
-    return _normalized_or_tetragon(hr_areas(dx, dy), dx, dy)
+    return _per_distinct(
+        lambda x, y: _normalized_or_tetragon(hr_areas(x, y), x, y), dx, dy
+    )
+
+
+def _half_hypotenuses(dx, dy):
+    """AT's position-only factor, 0.5 * sqrt(a*a + b*b), per corner."""
+    return tuple(
+        _in_place(np.multiply, _in_place(np.sqrt, np.add(a * a, b * b)), 0.5)
+        for a, b in corner_sides(dx, dy)
+    )
 
 
 def at_areas(dx, dy, values):
     """Triangle areas: base = tetragon hypotenuse, height = corner intensity.
 
     ``values`` are the four corner intensities P1..P4 in the caller's
-    intensity domain (raw [0,255] or unit [0,1]).
+    intensity domain (raw [0,255] or unit [0,1]). The half-hypotenuses are
+    tabled per distinct (dx, dy), then multiplied by the values.
     """
     return tuple(
-        0.5 * np.sqrt(a * a + b * b) * v
-        for (a, b), v in zip(corner_sides(dx, dy), values)
+        _in_place(np.multiply, h, v)
+        for h, v in zip(_per_distinct(_half_hypotenuses, dx, dy), values)
     )
 
 
@@ -121,10 +238,13 @@ def ac_areas(dx, dy, values):
     The radius is the hypotenuse of the right triangle whose legs are the
     corner intensity and the tetragon hypotenuse (v^2 in float64: uint8 wraps).
     """
-    return tuple(
-        math.pi * (np.square(v, dtype=np.float64) + a * a + b * b)
-        for (a, b), v in zip(corner_sides(dx, dy), values)
-    )
+    areas = []
+    for (a, b), v in zip(corner_sides(dx, dy), values):
+        area = np.square(v, dtype=np.float64)
+        area = _in_place(np.add, area, a * a)
+        area = _in_place(np.add, area, b * b)
+        areas.append(_in_place(np.multiply, area, math.pi))
+    return tuple(areas)
 
 
 def ac_weights(dx, dy, values):

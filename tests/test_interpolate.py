@@ -264,6 +264,79 @@ class TestWeightedResize:
                 assert np.all(out.pixels == 93)
 
 
+#: Tags whose position-only weight factors ``weights`` tables per distinct
+#: (dx, dy): all of MD's and HR's weights, AT's half-hypotenuses.
+TABLED_SCHEMES = ("MD", "HR", "AT")
+
+#: A ratio at which no fraction repeats along an axis.
+IRRATIONAL_RATIO = 2.7 * math.sqrt(2)
+
+
+def position_grids(monkeypatch, image, ratio, scheme, domain="raw"):
+    """Resize ``image`` and return the broadcast shape of every (dx, dy)
+    that ``weights.corner_sides`` was called with, in call order."""
+    shapes = []
+    original = w.corner_sides
+
+    def spy(dx, dy):
+        shapes.append(np.broadcast(dx, dy).shape)
+        return original(dx, dy)
+
+    monkeypatch.setattr(w, "corner_sides", spy)
+    resize(image, ratio, scheme, domain)
+    monkeypatch.undo()
+    return shapes
+
+
+class TestPositionTables:
+    """MD, HR and AT evaluate their position-only factors once per distinct
+    (dx, dy) in a band, unless more than half of an axis's values are
+    distinct; either way the output is the oracle's."""
+
+    @pytest.mark.parametrize("scheme", TABLED_SCHEMES)
+    def test_tables_engage_when_fractions_repeat(self, scheme, rng, monkeypatch):
+        """At ratio 4 every axis has 4 distinct fractions, so each of the two
+        128-row bands of a 64x64 -> 256x256 resize evaluates its geometry on
+        a 4x4 grid. No pixel is 0, so AT's fallback cannot fire."""
+        img = GrayImage(rng.integers(1, 256, (64, 64)).astype(np.uint8))
+        assert position_grids(monkeypatch, img, 4.0, scheme) == [(4, 4), (4, 4)]
+
+    @pytest.mark.parametrize("scheme", TABLED_SCHEMES)
+    def test_no_table_when_fractions_are_distinct(self, scheme, rng, monkeypatch):
+        """At 2.7*sqrt(2) no fraction repeats, so each band's geometry is
+        evaluated on the band itself: 244 columns in bands of 134 and 110
+        rows."""
+        img = GrayImage(rng.integers(1, 256, (64, 64)).astype(np.uint8))
+        grids = position_grids(monkeypatch, img, IRRATIONAL_RATIO, scheme)
+        assert grids == [(134, 244), (110, 244)]
+
+    # (shape, ratio, the position grid of MD's one band). Fractions computed
+    # in float64 repeat only up to rounding: at ratio 3 an axis of 9, 24 and
+    # 30 has 7, 9 and 11 distinct values, so 9 goes direct and 24 and 30 are
+    # tabled; at 2.7*sqrt(2) every value is distinct.
+    @pytest.mark.parametrize(
+        "shape,ratio,grid",
+        [
+            pytest.param((10, 8), 3.0, (11, 9), id="both-tabled"),
+            pytest.param((8, 6), IRRATIONAL_RATIO, (31, 23), id="both-direct"),
+            pytest.param((3, 10), 3.0, (9, 11), id="columns-tabled"),
+            pytest.param((10, 3), 3.0, (11, 9), id="rows-tabled"),
+        ],
+    )
+    def test_either_side_of_the_choice_matches_oracle(
+        self, shape, ratio, grid, rng, monkeypatch
+    ):
+        pixels = rng.integers(0, 256, shape).astype(np.uint8)
+        pixels[:2, :2] = 0
+        img = GrayImage(pixels)
+        assert position_grids(monkeypatch, img, ratio, "MD") == [grid]
+        for scheme in SCHEMES:
+            for domain in INTENSITY_DOMAINS:
+                out = resize(img, ratio, scheme, domain)
+                ref = reference_resize(img, ratio, scheme, domain)
+                assert np.array_equal(out.pixels, ref.pixels), (scheme, domain)
+
+
 class TestResizeDispatch:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize(

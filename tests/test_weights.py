@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tetrascale import weights
 from tetrascale.weights import (
     ac_areas,
     ac_weights,
@@ -253,3 +254,48 @@ class TestSharedInvariants:
             for name, w in scalar.items():
                 per_element = tuple(float(c[i]) for c in vec[name])
                 assert per_element == tuple(float(x) for x in w)
+
+
+class TestInputsUntouched:
+    """The weights functions do their band-sized arithmetic in place, but
+    only in arrays they allocated: no argument is written to, and no result
+    shares memory with an argument or with another result (``resize`` sums
+    into the four results in place)."""
+
+    POSITIONAL = ("corner_sides", "tetragon_weights", "md_areas", "md_weights",
+                  "hr_areas", "hr_weights")
+    WITH_VALUES = ("at_areas", "at_weights", "ac_areas", "ac_weights")
+
+    @staticmethod
+    def _band_inputs(rng, layout):
+        """dx, dy and four uint8 and float64 value grids of a 6x40 band; dx
+        and dy as a row and a column (as ``resize`` passes them, where the
+        position tables engage) or as full grids. Zeros fill one corner
+        block, so AT's fallback runs too."""
+        dx = np.round(rng.random((1, 40)), 1)
+        dy = np.round(rng.random((6, 1)), 1)
+        if layout == "grid":
+            dx, dy = np.broadcast_arrays(dx, dy)
+            dx, dy = dx.copy(), dy.copy()
+        raw = tuple(rng.integers(0, 256, (6, 40)).astype(np.uint8) for _ in range(4))
+        for v in raw:
+            v[:3, :10] = 0
+        return dx, dy, raw, tuple(v / 255.0 for v in raw)
+
+    @pytest.mark.parametrize("layout", ("row-column", "grid"))
+    @pytest.mark.parametrize("name", POSITIONAL + WITH_VALUES)
+    def test_arguments_unchanged_and_results_unshared(self, name, layout, rng):
+        dx, dy, raw, unit = self._band_inputs(rng, layout)
+        fn = getattr(weights, name)
+        for values in ((raw, unit) if name in self.WITH_VALUES else (None,)):
+            args = (dx, dy) if values is None else (dx, dy, values)
+            flat = [dx, dy, *(values or ())]
+            before = [a.copy() for a in flat]
+            results = fn(*args)
+            for a, b in zip(flat, before):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            if name == "corner_sides":
+                continue
+            for i, r in enumerate(results):
+                assert not any(np.shares_memory(r, a) for a in flat)
+                assert not any(np.shares_memory(r, o) for o in results[i + 1 :])
