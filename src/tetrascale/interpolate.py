@@ -23,32 +23,35 @@ anchor, plus the fraction src - anchor. The anchor is floor(src) for the 2x2
 schemes (offsets 0, 1) and TC (offsets -1..2), and floor(src + 0.5) for TN
 (offset 0), which rounds as the quantizer does. Indices are clamped while
 still floats, so a coordinate far past the edge (a tiny ratio) cannot
-overflow the integer cast. The 2x2 path gathers its four corner grids as
-uint8, and both paths multiply float64 weights or coefficients by uint8
-samples, which promotes them exactly; no float64 copy of the source or of a
-corner grid is made.
+overflow the integer cast. The 2x2 path and TC's horizontal pass multiply
+float64 weights or coefficients by uint8 samples, which promotes them
+exactly; no float64 copy of the source or of a corner grid is made.
 
-``resize`` allocates the uint8 output once and fills it one band of output
-rows at a time, each band about ``_BAND_PIXELS`` output pixels rounded to
-whole rows. For a band the 2x2 path takes that band's y taps, slices out only
-the source rows they reach, gathers the left and right columns and the four
-corner grids from that slice, then weights, sums and quantizes into the
-band's rows of the output; the column taps are the same for every band, so
-``resize`` computes them once. Each band calls its scheme's ``weights``
-function once, with dx as a row and dy as a column. For MD, HR and AT that
-function evaluates the position-only factors once per distinct (dx, dy) of
-the band and gathers them out to the band, except along an axis where more
-than half the values are distinct (see ``weights``). The weighted sum then
-runs in the four weight buffers, in the oracle's order
-((w1*p1 + w2*p2) + w3*p3) + w4*p4: each weight is multiplied by its corner in
-place and accumulated into the first.
+One band loop serves TB, TC, MD, HR, AT and AC. ``resize`` allocates the
+uint8 output once and splits it into blocks of at most ``_BAND_PIXELS`` rows
+and columns: one block unless a side of the output is longer than that. For
+each block ``_plan`` does the position-only work once: the taps and
+fractions of every row and column (TC: the cubic coefficients of both axes)
+and, when the block's distinct dy are few enough, the scheme's position-only
+arrays (TB's, MD's and HR's weights, AT's half-hypotenuses) on all dx x the
+distinct dy, through the scheme's own ``weights`` function. That table is
+kept only if it holds at most ``_BAND_PIXELS`` pixels, one band's worth;
+otherwise each band evaluates its own dy. A band is ``_BAND_PIXELS`` output
+pixels rounded down to whole rows of its block, at least one row, so a row
+wider than ``_BAND_PIXELS`` is cut into column spans (the blocks) and no
+band grows with the output's shape.
 
-TC runs its horizontal pass once per resize (an h_in x w_out float64 array)
-and bands the vertical pass. TN is not banded: it gathers its columns, then
-its rows, with one ``np.take`` each. Working memory beyond the output is
-therefore a fixed amount per band, plus TC's horizontal pass. Every pixel's
-arithmetic is the same whatever the band or the table, so neither changes an
-output bit.
+Each band slices out only the source rows its taps reach. The 2x2 path
+(``_weighted_field``) gathers the left and right columns and the four uint8
+corner grids from that slice, takes its rows of the table with one
+``np.take`` per corner (or evaluates its own), gets the four weights from
+them and the corners, and sums them in the oracle's order
+((w1*p1 + w2*p2) + w3*p3) + w4*p4 in the weight buffers. TC
+(``_bicubic_field``) runs its horizontal pass over the slice, then its
+vertical pass, each summing its four taps in tap order. TN is not banded: it
+gathers its columns, then its rows, with one ``np.take`` each. Every pixel's
+arithmetic is the same whatever the block, the band or the table, so none of
+them changes an output bit.
 
 ``tests/oracle.py`` defines the semantics one pixel at a time, in plain
 Python; ``resize`` evaluates the same formulas over whole bands with numpy
@@ -57,25 +60,50 @@ and must match it bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .image import GrayImage, quantize as _quantize
 from . import weights as _w
 
-#: Tag -> ``f(dx, dy, corners, intensity_domain)`` giving the four 2x2
-#: weights, or None for the schemes with their own path (TN, TC). Entries
-#: look the ``weights`` functions up when called, not at import, so a
-#: replaced module attribute is the one that runs.
+
+class _Weights(NamedTuple):
+    """How a 2x2 scheme weights its corners.
+
+    ``position(dx, dy)`` gives the scheme's position-only arrays, or is None
+    when it has none (AC). ``weights(dx, dy, g, corners, intensity_domain)``
+    gives a band's four weights from ``g``, the band's rows of those arrays
+    (None for AC), and its uint8 corner grids.
+    """
+
+    position: Callable | None
+    weights: Callable
+
+
+def _position_only(dx, dy, g, p, d):
+    """The weights of a scheme whose position-only arrays are its weights."""
+    return g
+
+
+#: Tag -> ``_Weights``, or None for the schemes with their own path (TN,
+#: TC). Entries look the ``weights`` functions up when called, not at
+#: import, so a replaced module attribute is the one that runs.
 _WEIGHTS = {
     "TN": None,
-    "TB": lambda dx, dy, p, d: _w.tetragon_weights(dx, dy),
+    "TB": _Weights(lambda dx, dy: _w.tetragon_weights(dx, dy), _position_only),
     "TC": None,
-    "MD": lambda dx, dy, p, d: _w.md_weights(dx, dy),
-    "HR": lambda dx, dy, p, d: _w.hr_weights(dx, dy),
-    "AT": lambda dx, dy, p, d: _w.at_weights(dx, dy, domain_values(p, d)),
-    "AC": lambda dx, dy, p, d: _w.ac_weights(dx, dy, domain_values(p, d)),
+    "MD": _Weights(lambda dx, dy: _w.md_weights(dx, dy), _position_only),
+    "HR": _Weights(lambda dx, dy: _w.hr_weights(dx, dy), _position_only),
+    "AT": _Weights(
+        lambda dx, dy: _w.at_half_hypotenuses(dx, dy),
+        lambda dx, dy, g, p, d: _w.at_weights(dx, dy, domain_values(p, d), g),
+    ),
+    "AC": _Weights(
+        None, lambda dx, dy, g, p, d: _w.ac_weights(dx, dy, domain_values(p, d))
+    ),
 }
 
 #: All algorithm tags, in benchmark presentation order.
@@ -89,7 +117,8 @@ MAX_OUTPUT_PIXELS = 1 << 26
 
 #: Output pixels per band, rounded to whole rows: about 32k pixels kept AC
 #: fastest at 1024 and 2048 columns, and whole-image or 4-row bands were both
-#: about 2x slower.
+#: about 2x slower. Also the longest side of a block, and the most pixels a
+#: block's position table may hold.
 _BAND_PIXELS = 1 << 15
 
 
@@ -116,6 +145,11 @@ def _output_shape(image: GrayImage, ratio: float) -> tuple[int, int]:
     return _output_length(image.height, ratio), _output_length(image.width, ratio)
 
 
+def _spans(n: int, size: int) -> list[range]:
+    """Consecutive ranges of at most ``size`` indices that cover range(n)."""
+    return [range(start, min(start + size, n)) for start in range(0, n, size)]
+
+
 def _axis_taps(n_in: int, ratio: float, dst: range, offsets, shift: float = 0.0):
     """Source taps for the output indices ``dst`` of one axis.
 
@@ -129,41 +163,95 @@ def _axis_taps(n_in: int, ratio: float, dst: range, offsets, shift: float = 0.0)
     return taps, src - anchor
 
 
-def _weighted_field(
+#: TC's tap offsets from floor(src), in summation order.
+_CUBIC_OFFSETS = range(-1, 3)
+
+
+class _Plan(NamedTuple):
+    """The position-only work of one block of the output, read by each band.
+
+    ``x_taps`` and ``y_taps`` hold the source column of each block column
+    and the source row of each block row, one array per tap offset. For the
+    2x2 schemes ``x_factors`` is dx as a row and ``y_factors`` dy as a
+    column; for TC they are the four cubic coefficient rows and columns.
+    ``table`` is None, or (inverse, arrays): the scheme's position-only
+    arrays on all dx x the distinct dy, and each block row's index into
+    them.
+    """
+
+    pixels: np.ndarray
+    scheme: str
+    intensity_domain: str
+    x_taps: list
+    x_factors: np.ndarray | list
+    y_taps: list
+    y_factors: np.ndarray | list
+    table: tuple | None
+
+
+def _plan(
     image: GrayImage,
     ratio: float,
     scheme: str,
-    intensity_domain: str = "raw",
-    rows: slice = slice(None),
-    x_taps=None,
-) -> np.ndarray:
-    """Pre-quantization float output rows ``rows`` of a 2x2 weighted-sum resize.
+    intensity_domain: str,
+    rows: range,
+    cols: range,
+) -> _Plan:
+    """Position-only work for output rows ``rows`` x columns ``cols``."""
+    if scheme == "TC":
+        x_taps, fx = _axis_taps(image.width, ratio, cols, _CUBIC_OFFSETS)
+        y_taps, fy = _axis_taps(image.height, ratio, rows, _CUBIC_OFFSETS)
+        return _Plan(
+            image.pixels, scheme, intensity_domain,
+            x_taps, [cubic_kernel(fx - k)[None, :] for k in _CUBIC_OFFSETS],
+            y_taps, [cubic_kernel(fy - k)[:, None] for k in _CUBIC_OFFSETS],
+            None,
+        )
+    x_taps, dx = _axis_taps(image.width, ratio, cols, (0, 1))
+    y_taps, dy = _axis_taps(image.height, ratio, rows, (0, 1))
+    table = None
+    position = _WEIGHTS[scheme].position
+    if position is not None:
+        ys, inverse = np.unique(dy, return_inverse=True)
+        if ys.size * len(cols) <= _BAND_PIXELS:
+            table = inverse, position(dx[None, :], ys[:, None])
+    return _Plan(
+        image.pixels, scheme, intensity_domain,
+        x_taps, dx[None, :], y_taps, dy[:, None], table,
+    )
 
-    Only the source rows that those output rows reach are gathered.
-    ``x_taps`` is ``_axis_taps``'s result for every output column; ``resize``
-    computes it once and passes it to every band, and it is computed here
-    when not given.
-    """
-    if x_taps is None:
-        w_out = _output_length(image.width, ratio)
-        x_taps = _axis_taps(image.width, ratio, range(w_out), (0, 1))
-    (xl, xr), dxs = x_taps
-    h_out = _output_length(image.height, ratio)
-    (yt, yb), dys = _axis_taps(image.height, ratio, range(h_out)[rows], (0, 1))
-    # Taps grow with the output index, so yt[0] and yb[-1] bound the band.
-    top = yt[0]
-    source = image.pixels[top : yb[-1] + 1]
-    left, right = (np.take(source, x, axis=1) for x in (xl, xr))
-    p1, p2, p3, p4 = (
+
+def _band_source(pixels: np.ndarray, y_taps, band: slice):
+    """The band's row taps, the source rows they reach and the first of
+    those rows. Taps grow with the output index and the offset, so the
+    first and last taps bound the band."""
+    taps = [t[band] for t in y_taps]
+    top = taps[0][0]
+    return taps, pixels[top : taps[-1][-1] + 1], top
+
+
+def _weighted_field(plan: _Plan, band: slice) -> np.ndarray:
+    """Pre-quantization float output of the block rows ``band`` of a 2x2
+    weighted-sum resize."""
+    (yt, yb), source, top = _band_source(plan.pixels, plan.y_taps, band)
+    left, right = (np.take(source, x, axis=1) for x in plan.x_taps)
+    corners = tuple(
         np.take(columns, taps - top, axis=0)
         for taps, columns in ((yt, left), (yt, right), (yb, left), (yb, right))
     )
-
-    w1, w2, w3, w4 = _WEIGHTS[scheme](
-        dxs[None, :], dys[:, None], (p1, p2, p3, p4), intensity_domain
-    )
+    dx, dy = plan.x_factors, plan.y_factors[band]
+    scheme = _WEIGHTS[plan.scheme]
+    if plan.table is not None:
+        inverse, arrays = plan.table
+        g = tuple(np.take(a, inverse[band], axis=0) for a in arrays)
+    elif scheme.position is not None:
+        g = scheme.position(dx, dy)
+    else:
+        g = None
+    w1, w2, w3, w4 = scheme.weights(dx, dy, g, corners, plan.intensity_domain)
     # ((w1*p1 + w2*p2) + w3*p3) + w4*p4, the oracle's order, in the weight
-    # buffers: the weights functions return fresh band-shaped float64 arrays.
+    # buffers: each is a fresh band-shaped float64 array.
+    p1, p2, p3, p4 = corners
     acc = np.multiply(w1, p1, out=w1)
     for wk, pk in ((w2, p2), (w3, p3), (w4, p4)):
         acc += np.multiply(wk, pk, out=wk)
@@ -191,27 +279,30 @@ def cubic_kernel(t):
     return np.where(at <= 1.0, inner, np.where(at < 2.0, outer, 0.0))
 
 
-def _cubic_axis_pass(data: np.ndarray, ratio: float, axis: int, dst: range):
-    """Resample one axis at the output indices ``dst`` with the 4-tap cubic
-    kernel over clamped taps."""
-    offsets = range(-1, 3)
-    taps, frac = _axis_taps(data.shape[axis], ratio, dst, offsets)
+def _cubic_sum(data: np.ndarray, taps, coefficients, axis: int) -> np.ndarray:
+    """One cubic pass: the four taps of ``data`` along ``axis``, each times
+    its coefficient, summed in tap order."""
     acc = None
-    for k, idx in zip(offsets, taps):
-        coeff = np.expand_dims(cubic_kernel(frac - k), 1 - axis)
-        term = coeff * np.take(data, idx, axis=axis)
-        acc = term if acc is None else acc + term
+    for idx, coefficient in zip(taps, coefficients):
+        term = np.take(data, idx, axis=axis)
+        # A float64 gather is multiplied in place; a uint8 one is promoted.
+        term = np.multiply(term, coefficient, out=term if term.dtype == np.float64 else None)
+        if acc is None:
+            acc = term
+        else:
+            acc += term
     return acc
 
 
-def _bicubic_field(
-    horizontal: np.ndarray, ratio: float, rows: slice = slice(None)
-) -> np.ndarray:
-    """Pre-quantization float output rows ``rows`` of the separable bicubic
-    resize: the vertical pass over ``horizontal``, the h_in x w_out float64
-    output of the horizontal pass."""
-    h_out = _output_length(horizontal.shape[0], ratio)
-    return _cubic_axis_pass(horizontal, ratio, 0, range(h_out)[rows])
+def _bicubic_field(plan: _Plan, band: slice) -> np.ndarray:
+    """Pre-quantization float output of the block rows ``band`` of the
+    separable bicubic resize: the horizontal pass over the source rows the
+    band's vertical taps reach, then the vertical pass."""
+    taps, source, top = _band_source(plan.pixels, plan.y_taps, band)
+    horizontal = _cubic_sum(source, plan.x_taps, plan.x_factors, 1)
+    return _cubic_sum(
+        horizontal, [t - top for t in taps], [c[band] for c in plan.y_factors], 0
+    )
 
 
 def resize(
@@ -243,17 +334,17 @@ def resize(
     if scheme == "TN":
         return _nearest(image, ratio, shape)
     h_out, w_out = shape
-    if scheme == "TC":
-        horizontal = _cubic_axis_pass(image.pixels, ratio, 1, range(w_out))
-        field = lambda rows: _bicubic_field(horizontal, ratio, rows)
-    else:
-        x_taps = _axis_taps(image.width, ratio, range(w_out), (0, 1))
-        field = lambda rows: _weighted_field(
-            image, ratio, scheme, intensity_domain, rows, x_taps
-        )
     out = np.empty(shape, dtype=np.uint8)
-    band = max(1, _BAND_PIXELS // w_out)
-    for top in range(0, h_out, band):
-        rows = slice(top, top + band)
-        out[rows] = _quantize(field(rows)).pixels
+    blocks = itertools.product(_spans(h_out, _BAND_PIXELS), _spans(w_out, _BAND_PIXELS))
+    for rows, cols in blocks:
+        plan = _plan(image, ratio, scheme, intensity_domain, rows, cols)
+        for band in _spans(len(rows), max(1, _BAND_PIXELS // len(cols))):
+            top = rows.start + band.start
+            # The field is not bound to a name, so it is freed before the
+            # next band's is built.
+            out[top : top + len(band), cols.start : cols.stop] = _quantize(
+                (_bicubic_field if scheme == "TC" else _weighted_field)(
+                    plan, slice(band.start, band.stop)
+                )
+            ).pixels
     return GrayImage(out)

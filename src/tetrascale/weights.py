@@ -17,31 +17,38 @@ top-left corner, both in [0, 1].
 
 All functions take floats or broadcastable numpy arrays, uint8 intensities
 too, and return four floats or float64 arrays: one call weights a whole grid.
-No argument is ever written to.
+No argument is written to, except precomputed half-hypotenuses given to
+``at_areas`` or ``at_weights``, which those functions consume.
 
-Position-only tables. MD and HR weights, and AT's half-hypotenuse factor
-``0.5 * sqrt(a*a + b*b)``, depend only on (dx, dy). When ``dx`` is a row
-(shape (1, w)) and ``dy`` a column (shape (h, 1)), as ``resize`` passes them,
-``_per_distinct`` evaluates such an expression once on the grid of distinct
-dy x distinct dx (``_distinct``: what ``np.unique(..., return_inverse=True)``
-gives) and expands each result with one ``np.take`` per axis. An axis whose
-distinct values number more than half its length is evaluated directly
-instead, since there the sort and the gather cost more than they save (at
-ratio 2.7*sqrt(2) no fraction repeats). The choice is made per axis and per
-call, from the values alone. Each table entry is the same elementwise
-arithmetic on the same operands, so the table changes no bit. AT's factor
-can be tabled exactly because its areas evaluate as
-``(0.5 * sqrt(...)) * v``; TB stays direct (one multiply per corner is
-cheaper than a gather) and AC has no position-only prefix (``v * v`` is
-added first).
+Position-only tables. TB, MD and HR weights, and AT's half-hypotenuse factor
+``0.5 * sqrt(a*a + b*b)`` (``at_half_hypotenuses``), depend only on
+(dx, dy). ``resize`` evaluates them once per resize, on all dx x the
+distinct dy, when that table holds at most one band's pixels, and reads
+each band's rows from it; AT's factor is then passed to ``at_weights``.
+Within one call, when ``dx`` is a row (shape (1, w)) and ``dy`` a column
+(shape (h, 1)), ``_per_distinct`` evaluates MD's, HR's or AT's expression
+once on the grid of distinct dy x distinct dx (``_distinct``: what
+``np.unique(..., return_inverse=True)`` gives) and expands each result with
+one ``np.take`` per axis. An axis whose distinct values number more than
+half its length is evaluated directly instead, since there the sort and the
+gather cost more than they save (at ratio 2.7*sqrt(2) no fraction repeats).
+The choice is made per axis and per call, from the values alone. Each table
+entry is the same elementwise arithmetic on the same operands, so no table
+changes a bit. AT's factor can be tabled exactly because its areas evaluate
+as ``(0.5 * sqrt(...)) * v``; TB's weights are one multiply per corner, so
+``tetragon_weights`` is not tabled per distinct dx; AC has no position-only
+prefix (``v * v`` is added first).
 
 In-place arithmetic. Every band-sized step writes into an array that this
-module's own code allocated in that call, never into an argument: each MD,
-HR and AC area is built in one buffer, AT multiplies its half-hypotenuses by
-the corner values in place, and normalization sums the four areas into one
-buffer and divides into the areas. Scalars, and arrays whose shape or dtype
-cannot hold the result, take the ordinary out-of-place path, with the same
-values.
+module's own code allocated in that call, or into given half-hypotenuses:
+each MD, HR and AC area is built in one buffer, AT multiplies its
+half-hypotenuses by the corner values in place, and normalization sums the
+four areas into one buffer and divides into the areas. Where that sum is
+degenerate (AT with four zero corners) it is first set to 1 in the sum's
+buffer, and the tetragon weights are then written over those pixels alone,
+so the fallback allocates no band-sized grid beyond a mask. Scalars, and
+arrays whose shape or dtype cannot hold the result, take the ordinary
+out-of-place path, with the same values.
 """
 
 from __future__ import annotations
@@ -150,19 +157,24 @@ def _normalized_or_tetragon(raw, dx, dy):
     bad = total < EPSILON
     if not np.any(bad):
         return tuple(_in_place(np.divide, w, total) for w in raw)
-    fallback = tetragon_weights(dx, dy)
-    safe = np.where(bad, 1.0, total)
-    return tuple(
-        np.where(bad, f, _in_place(np.divide, w, safe))
-        for f, w in zip(fallback, raw)
-    )
+    if np.ndim(total) == 0:
+        return tetragon_weights(dx, dy)
+    # ``total`` is this function's own array: its degenerate sums become 1,
+    # so nothing divides by zero and the valid pixels divide as above. The
+    # quotients are fresh arrays of ``total``'s shape, and each corner's
+    # tetragon weight a * b is written over the degenerate pixels alone.
+    np.copyto(total, 1.0, where=bad)
+    weights = tuple(_in_place(np.divide, w, total) for w in raw)
+    for w, (a, b) in zip(weights, corner_sides(dx, dy)):
+        np.multiply(a, b, out=w, where=bad)
+    return weights
 
 
 def tetragon_weights(dx, dy):
     """Bilinear weights: the four opposite-tetragon areas.
 
     The areas partition the unit square, so they already sum to one and no
-    normalization is applied. Evaluated directly, never tabled.
+    normalization is applied. Evaluated directly on what it is given.
     """
     return tuple(a * b for a, b in corner_sides(dx, dy))
 
@@ -211,25 +223,32 @@ def _half_hypotenuses(dx, dy):
     )
 
 
-def at_areas(dx, dy, values):
+def at_half_hypotenuses(dx, dy):
+    """AT's position-only factor per corner, tabled per distinct (dx, dy)."""
+    return _per_distinct(_half_hypotenuses, dx, dy)
+
+
+def at_areas(dx, dy, values, half_hypotenuses=None):
     """Triangle areas: base = tetragon hypotenuse, height = corner intensity.
 
     ``values`` are the four corner intensities P1..P4 in the caller's
-    intensity domain (raw [0,255] or unit [0,1]). The half-hypotenuses are
-    tabled per distinct (dx, dy), then multiplied by the values.
+    intensity domain (raw [0,255] or unit [0,1]). The half-hypotenuses
+    (``at_half_hypotenuses(dx, dy)``) are multiplied by the values. A caller
+    that already has them passes them as ``half_hypotenuses``; they are then
+    multiplied in place, so it passes arrays it owns and does not read again.
     """
-    return tuple(
-        _in_place(np.multiply, h, v)
-        for h, v in zip(_per_distinct(_half_hypotenuses, dx, dy), values)
-    )
+    if half_hypotenuses is None:
+        half_hypotenuses = at_half_hypotenuses(dx, dy)
+    return tuple(_in_place(np.multiply, h, v) for h, v in zip(half_hypotenuses, values))
 
 
-def at_weights(dx, dy, values):
-    """Normalized intensity-height triangle weights.
+def at_weights(dx, dy, values, half_hypotenuses=None):
+    """Normalized intensity-height triangle weights; ``half_hypotenuses``
+    as for ``at_areas``.
 
     Falls back to tetragon weights where all four intensities vanish.
     """
-    return _normalized_or_tetragon(at_areas(dx, dy, values), dx, dy)
+    return _normalized_or_tetragon(at_areas(dx, dy, values, half_hypotenuses), dx, dy)
 
 
 def ac_areas(dx, dy, values):

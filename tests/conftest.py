@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tetrascale import GrayImage
+from tetrascale import interpolate
 
 
 @pytest.fixture
@@ -26,3 +27,12 @@ def constant_image(height, width, value):
 def gray(width, height, samples):
     """Image from flat row-major samples."""
     return GrayImage(np.reshape(samples, (height, width)))
+
+
+def whole_field(img, ratio, scheme, domain="raw"):
+    """Pre-quantization float output of a whole resize with ``scheme`` (not
+    TN), computed as one block and one band."""
+    h, w = interpolate._output_shape(img, ratio)
+    plan = interpolate._plan(img, ratio, scheme, domain, range(h), range(w))
+    field = interpolate._bicubic_field if scheme == "TC" else interpolate._weighted_field
+    return field(plan, slice(None))

@@ -24,7 +24,7 @@ from tetrascale import (
     ssim,
 )
 from tetrascale.bench import write_aggregates_csv, write_records_csv
-from tetrascale.interpolate import SCHEMES, _weighted_field
+from tetrascale.interpolate import SCHEMES
 from tetrascale.report import expected_ordering_checks
 from tetrascale.weights import (
     ac_weights,
@@ -34,7 +34,7 @@ from tetrascale.weights import (
     tetragon_weights,
 )
 
-from conftest import constant_image, gray
+from conftest import constant_image, gray, whole_field
 
 
 def _report(number, name):
@@ -123,7 +123,7 @@ def test_c3_bilinear_oracle_equivalence():
     for ratio in (2.0, 4.0):
         for _ in range(100):
             pixels = rng.integers(0, 256, (16, 16)).astype(np.uint8)
-            field = _weighted_field(GrayImage(pixels), ratio, "TB")
+            field = whole_field(GrayImage(pixels), ratio, "TB")
             oracle = _bilinear_oracle(pixels, ratio)
             assert field.shape == oracle.shape
             assert np.max(np.abs(field - oracle)) < 1e-9

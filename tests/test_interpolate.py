@@ -10,16 +10,13 @@ from tetrascale.interpolate import (
     INTENSITY_DOMAINS,
     MAX_OUTPUT_PIXELS,
     SCHEMES,
-    _bicubic_field,
-    _cubic_axis_pass,
     _quantize,
-    _weighted_field,
     cubic_kernel,
     map_dst_to_src,
 )
 from tetrascale import weights as w
 
-from conftest import constant_image, gray
+from conftest import constant_image, gray, whole_field
 from oracle import (
     Neighborhood,
     gather_neighborhood,
@@ -41,13 +38,27 @@ WEIGHTED_SCHEMES = tuple(WEIGHT_FUNCTIONS)
 INTENSITY_SCHEMES = ("AT", "AC")
 
 
-def formula_image():
-    """96x64 image built from a formula, with an 8x8 black top-left corner
-    (where AT falls back to tetragon weights)."""
-    y, x = np.mgrid[0:64, 0:96]
+def formula_image(height=64, width=96):
+    """Image built from a formula, 96x64 unless given, with an 8x8 black
+    top-left corner (where AT falls back to tetragon weights)."""
+    y, x = np.mgrid[0:height, 0:width]
     pixels = ((x * 37 + y * 91 + (x * y) % 13) % 256).astype(np.uint8)
     pixels[:8, :8] = 0
     return GrayImage(pixels)
+
+
+def allocation_peak(call):
+    """``call()``'s result and the peak bytes that tracemalloc saw it
+    allocate."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def outputs_digest():
@@ -226,7 +237,7 @@ class TestBicubic:
         h = win = 16
         yy, xx = np.mgrid[0:h, 0:win]
         img = GrayImage((3 * xx + 2 * yy).astype(np.uint8))
-        field = _bicubic_field(_cubic_axis_pass(img.pixels, 2.0, 1, range(2 * win)), 2.0)
+        field = whole_field(img, 2.0, "TC")
         sx = (np.arange(field.shape[1]) + 0.5) / 2.0 - 0.5
         sy = (np.arange(field.shape[0]) + 0.5) / 2.0 - 0.5
         # Keep taps anchor-1 .. anchor+2 inside the image.
@@ -242,7 +253,7 @@ class TestWeightedResize:
             px = rng.integers(0, 256, (16, 16)).astype(np.uint8)
             img = GrayImage(px)
             for ratio in (2.0, 4.0):
-                field = _weighted_field(img, ratio, "TB")
+                field = whole_field(img, ratio, "TB")
                 oracle = closed_form_bilinear(px, ratio)
                 assert np.max(np.abs(field - oracle)) < 1e-9
 
@@ -268,6 +279,10 @@ class TestWeightedResize:
 #: (dx, dy): all of MD's and HR's weights, AT's half-hypotenuses.
 TABLED_SCHEMES = ("MD", "HR", "AT")
 
+#: Tags whose position-only arrays ``resize`` evaluates once per block:
+#: the tabled ones and TB's weights.
+POSITION_SCHEMES = ("TB",) + TABLED_SCHEMES
+
 #: A ratio at which no fraction repeats along an axis.
 IRRATIONAL_RATIO = 2.7 * math.sqrt(2)
 
@@ -289,17 +304,20 @@ def position_grids(monkeypatch, image, ratio, scheme, domain="raw"):
 
 
 class TestPositionTables:
-    """MD, HR and AT evaluate their position-only factors once per distinct
-    (dx, dy) in a band, unless more than half of an axis's values are
-    distinct; either way the output is the oracle's."""
+    """``resize`` evaluates a scheme's position-only arrays once per block,
+    on all dx x the distinct dy, when that table holds at most one band's
+    pixels, and once per band otherwise. MD, HR and AT then evaluate their
+    position-only factors once per distinct (dx, dy) of what they are given,
+    unless more than half of an axis's values are distinct; either way the
+    output is the oracle's."""
 
     @pytest.mark.parametrize("scheme", TABLED_SCHEMES)
     def test_tables_engage_when_fractions_repeat(self, scheme, rng, monkeypatch):
-        """At ratio 4 every axis has 4 distinct fractions, so each of the two
-        128-row bands of a 64x64 -> 256x256 resize evaluates its geometry on
-        a 4x4 grid. No pixel is 0, so AT's fallback cannot fire."""
+        """At ratio 4 every axis has 4 distinct fractions, so a 64x64 ->
+        256x256 resize, two bands of 128 rows, evaluates its geometry once,
+        on a 4x4 grid. No pixel is 0, so AT's fallback cannot fire."""
         img = GrayImage(rng.integers(1, 256, (64, 64)).astype(np.uint8))
-        assert position_grids(monkeypatch, img, 4.0, scheme) == [(4, 4), (4, 4)]
+        assert position_grids(monkeypatch, img, 4.0, scheme) == [(4, 4)]
 
     @pytest.mark.parametrize("scheme", TABLED_SCHEMES)
     def test_no_table_when_fractions_are_distinct(self, scheme, rng, monkeypatch):
@@ -310,16 +328,40 @@ class TestPositionTables:
         grids = position_grids(monkeypatch, img, IRRATIONAL_RATIO, scheme)
         assert grids == [(134, 244), (110, 244)]
 
-    # (shape, ratio, the position grid of MD's one band). Fractions computed
-    # in float64 repeat only up to rounding: at ratio 3 an axis of 9, 24 and
-    # 30 has 7, 9 and 11 distinct values, so 9 goes direct and 24 and 30 are
-    # tabled; at 2.7*sqrt(2) every value is distinct.
+    # A 12x10 image, bands of 400 pixels. At ratio 4 the output is 48x40 in
+    # five 10-row bands, and its 4 distinct dy x 40 columns fit in one band:
+    # one evaluation (TB on all 40 columns, the others on 4 distinct dx). At
+    # 3.7 it is 44x37 in bands of 10, 10, 10, 10 and 4 rows, and its 37
+    # distinct dy do not fit: one evaluation per band, on the band's rows.
+    @pytest.mark.parametrize("scheme", POSITION_SCHEMES)
+    @pytest.mark.parametrize("ratio", (4.0, 3.7), ids=("once-per-resize", "per-band"))
+    def test_position_work_once_per_resize_when_it_fits(
+        self, scheme, ratio, rng, monkeypatch
+    ):
+        img = GrayImage(rng.integers(1, 256, (12, 10)).astype(np.uint8))
+        monkeypatch.setattr(interpolate, "_BAND_PIXELS", 400)
+        grids = position_grids(monkeypatch, img, ratio, scheme)
+        if ratio == 4.0:
+            assert grids == [(4, 40) if scheme == "TB" else (4, 4)]
+        else:
+            assert grids == [(10, 37)] * 4 + [(4, 37)]
+        # position_grids undid every patch, the band size's too.
+        monkeypatch.setattr(interpolate, "_BAND_PIXELS", 400)
+        out = resize(img, ratio, scheme)
+        assert np.array_equal(out.pixels, reference_resize(img, ratio, scheme).pixels)
+
+    # (shape, ratio, MD's one position grid). Each output fits in one band,
+    # so ``md_weights`` gets all dx x the distinct dy. Fractions computed in
+    # float64 repeat only up to rounding: at ratio 3 an axis of 9, 24 and 30
+    # has 7, 9 and 11 distinct values, so 9 columns go direct and 24 and 30
+    # are tabled; the distinct dy are direct by construction; at 2.7*sqrt(2)
+    # every value is distinct.
     @pytest.mark.parametrize(
         "shape,ratio,grid",
         [
             pytest.param((10, 8), 3.0, (11, 9), id="both-tabled"),
             pytest.param((8, 6), IRRATIONAL_RATIO, (31, 23), id="both-direct"),
-            pytest.param((3, 10), 3.0, (9, 11), id="columns-tabled"),
+            pytest.param((3, 10), 3.0, (7, 11), id="columns-tabled"),
             pytest.param((10, 3), 3.0, (11, 9), id="rows-tabled"),
         ],
     )
@@ -373,13 +415,17 @@ class TestResizeDispatch:
         ratios 0.75, 1.5 and 3.7), which the 9x8 oracle test can miss."""
         assert outputs_digest() == PINNED_DIGEST
 
+    # 300 pixels makes bands of one row at ratios 3.0 and 3.7, cuts the
+    # 355- and 359-pixel rows at 3.7 into spans of 300 and the rest, and
+    # splits the 300x97 outputs at 3.0 and 3.7 into blocks of 300 rows.
     # 2592 pixels makes bands of 7 to 36 rows here, none of which divides the
     # output height of formula_image() or of the 300x97 image below.
-    @pytest.mark.parametrize("band_pixels", (1, 2592))
+    @pytest.mark.parametrize("band_pixels", (300, 2592))
     def test_band_seams_are_exact(self, band_pixels, rng, monkeypatch):
-        """Bands of one row, and bands that do not divide the output height,
-        change no output byte. The black block lies in a later band, so AT's
-        all-zero fallback runs there and not in the first band."""
+        """Bands of one row, column spans, blocks, and bands that do not
+        divide the output height, change no output byte. The black block lies
+        in a later band, so AT's all-zero fallback runs there and not in the
+        first band."""
         pixels = rng.integers(0, 256, (300, 97)).astype(np.uint8)
         pixels[200:212, 30:42] = 0
         img = GrayImage(pixels)
@@ -402,51 +448,57 @@ class TestResizeDispatch:
     def test_working_memory_is_banded(self, scheme, domain):
         """A 96x64 -> 1536x1024 resize allocates at most the output and its
         final ``GrayImage`` copy (2 B/px) plus 8 MiB, whatever the output
-        size: measured 3.0 to 6.4 MiB with numpy 2.4. Resizing the whole
+        size: measured 3.1 to 4.9 MiB with numpy 2.4. Resizing the whole
         output at once took 49 to 236 MiB."""
         img = formula_image()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            out = resize(img, 16, scheme, domain)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        out, peak = allocation_peak(lambda: resize(img, 16, scheme, domain))
         assert out.pixels.shape == (1024, 1536)
         assert peak < 2 * out.pixels.size + 8 * 2**20
 
-    # Each id ends with the bound the scheme had when the whole output was
-    # computed at once, so the ids are the same as before the bands.
+    # Each id of a 384x256 case ends with the bound the scheme had when the
+    # whole output was computed at once, so the ids are the same as before
+    # the bands.
     @pytest.mark.parametrize(
-        "scheme,domain,bound",
+        "scheme,domain,shape,ratio,bound",
         [
-            pytest.param("TB", "raw", 29, id="TB-raw-56"),
-            pytest.param("MD", "raw", 34, id="MD-raw-80"),
-            pytest.param("HR", "raw", 34, id="HR-raw-80"),
-            pytest.param("AT", "raw", 50, id="AT-raw-128"),
-            pytest.param("AT", "unit", 61, id="AT-unit-160"),
-            pytest.param("AC", "raw", 34, id="AC-raw-80"),
-            pytest.param("AC", "unit", 45, id="AC-unit-112"),
+            pytest.param("TB", "raw", (64, 96), 4, 16, id="TB-raw-56"),
+            pytest.param("MD", "raw", (64, 96), 4, 16, id="MD-raw-80"),
+            pytest.param("HR", "raw", (64, 96), 4, 16, id="HR-raw-80"),
+            pytest.param("AT", "raw", (64, 96), 4, 20, id="AT-raw-128"),
+            pytest.param("AT", "unit", (64, 96), 4, 30, id="AT-unit-160"),
+            pytest.param("AC", "raw", (64, 96), 4, 18, id="AC-raw-80"),
+            pytest.param("AC", "unit", (64, 96), 4, 28.5, id="AC-unit-112"),
+            pytest.param("TC", "raw", (64, 96), 4, 12, id="TC-raw-x4"),
+            pytest.param("TC", "raw", (512, 2048), 0.5, 8, id="TC-raw-x0.5"),
         ],
     )
-    def test_allocation_peak_per_output_pixel(self, scheme, domain, bound):
-        """Peak bytes allocated by one 384x256 resize, per output pixel. The
-        output is four bands (85, 85, 85 and 1 rows), so one float64 grid of
-        an 85-row band is about 2.7 B/px. Each bound is the peak measured with numpy 2.4 (TB
-        21.3, MD/HR/AC-raw 26.9, AT-raw 42.9, AT-unit 53.5, AC-unit 37.5) plus
-        less than 8 B/px, so one float64 grid the size of the whole output
-        fails it, and so do three more band-sized ones. The black corner runs
-        AT's fallback, its largest path."""
-        img = formula_image()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            out = resize(img, 4, scheme, domain)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+    def test_allocation_peak_per_output_pixel(self, scheme, domain, shape, ratio, bound):
+        """Peak bytes allocated by one resize, per output pixel. At ratio 4
+        the output is 384x256, four bands (85, 85, 85 and 1 rows), so one
+        float64 grid of an 85-row band is about 2.7 B/px. At ratio 0.5 it is
+        1024x256, eight bands of 32 rows. Each bound is the peak measured
+        with numpy 2.4 (TB, MD, HR 14.5, AT raw 18.3, AT unit 28.9, AC raw
+        16.3, AC unit 27.0, TC 10.3 at ratio 4 and 6.4 at ratio 0.5) plus
+        less than 2 B/px, so one more float64 grid of a band fails it. The
+        black corner runs AT's fallback, its largest path. TC's
+        whole-image horizontal pass took 50.7 B/px at ratio 0.5."""
+        img = formula_image(*shape)
+        out, peak = allocation_peak(lambda: resize(img, ratio, scheme, domain))
+        assert peak / out.pixels.size < bound
+
+    @pytest.mark.parametrize(
+        "scheme,domain,bound", [("TB", "raw", 36), ("AT", "unit", 37), ("TC", "raw", 48)]
+    )
+    def test_rows_wider_than_a_band_are_cut_into_spans(self, scheme, domain, bound):
+        """A 1x131072 image at ratio 1 is one output row of four bands'
+        pixels. Cut into column spans of ``_BAND_PIXELS``, its peak per output
+        pixel is fixed: measured with numpy 2.4, TB 33.1, AT unit 34.8 and TC
+        45.3 B/px, most of it the plan and the table of one span. As one band,
+        the row took 79.0, 104.0 and 113.0 B/px."""
+        pixels = ((np.arange(131072) * 37) % 256).astype(np.uint8)
+        img = GrayImage(pixels[None, :])
+        out, peak = allocation_peak(lambda: resize(img, 1.0, scheme, domain))
+        assert out.pixels.shape == (1, 131072)
         assert peak / out.pixels.size < bound
 
     def test_intensity_domain_changes_ac_but_not_at(self, rng):
@@ -454,11 +506,11 @@ class TestResizeDispatch:
         invariance) but shifts AC's balance against the fixed hypotenuse
         term."""
         img = GrayImage(rng.integers(0, 256, (16, 16)).astype(np.uint8))
-        at_raw = _weighted_field(img, 3.0, "AT", "raw")
-        at_unit = _weighted_field(img, 3.0, "AT", "unit")
+        at_raw = whole_field(img, 3.0, "AT", "raw")
+        at_unit = whole_field(img, 3.0, "AT", "unit")
         assert np.max(np.abs(at_raw - at_unit)) < 1e-9
-        ac_raw = _weighted_field(img, 3.0, "AC", "raw")
-        ac_unit = _weighted_field(img, 3.0, "AC", "unit")
+        ac_raw = whole_field(img, 3.0, "AC", "raw")
+        ac_unit = whole_field(img, 3.0, "AC", "unit")
         assert np.max(np.abs(ac_raw - ac_unit)) > 0.5
 
     @pytest.mark.parametrize("scheme", SCHEMES)
