@@ -58,13 +58,27 @@ class GrayImage:
         )
 
 
-def quantize(values) -> GrayImage:
-    """Image of ``values`` rounded half away from zero and clamped to [0, 255].
+def quantize_into(values: np.ndarray, out: np.ndarray) -> None:
+    """Write ``values`` rounded half away from zero and clamped to [0, 255]
+    into the uint8 array ``out``.
 
-    floor(x + 0.5) is round-half-away for x >= 0; for x < 0 both give a value
-    <= 0, which the clamp sends to 0.
+    The rounding runs in place in ``values``, a float64 array of ``out``'s
+    shape, which is left holding the rounded values. floor(x + 0.5) is
+    round-half-away for x >= 0; for x < 0 both give a value <= 0, which the
+    clamp sends to 0.
     """
-    return GrayImage(np.clip(np.floor(values + 0.5), 0, 255).astype(np.uint8))
+    np.add(values, 0.5, out=values)
+    np.floor(values, out=values)
+    np.clip(values, 0, 255, out=values)
+    np.copyto(out, values, casting="unsafe")
+
+
+def quantize(values) -> GrayImage:
+    """Image of ``values`` rounded and clamped as by ``quantize_into``."""
+    values = np.array(values, dtype=np.float64)
+    out = np.empty(values.shape, dtype=np.uint8)
+    quantize_into(values, out)
+    return GrayImage(out)
 
 
 def to_gray(rgb_samples, width: int, height: int) -> GrayImage:

@@ -13,9 +13,9 @@ path.
 
 Coordinate convention is pixel-centered: src = (dst + 0.5) / scale - 0.5.
 Boundaries replicate the edge pixel. Each output pixel is quantized once by
-``image.quantize``, rounding half away from zero and clamping to [0, 255].
-An output of more than ``MAX_OUTPUT_PIXELS`` pixels is refused before
-anything is allocated.
+the rule in ``image``, rounding half away from zero and clamping to
+[0, 255]. An output of more than ``MAX_OUTPUT_PIXELS`` pixels is refused
+before anything is allocated.
 
 Sampling is per axis for all seven schemes: ``_axis_taps`` maps each output
 coordinate to src and gives the clamped source index at each offset from an
@@ -41,17 +41,27 @@ pixels rounded down to whole rows of its block, at least one row, so a row
 wider than ``_BAND_PIXELS`` is cut into column spans (the blocks) and no
 band grows with the output's shape.
 
-Each band slices out only the source rows its taps reach. The 2x2 path
-(``_weighted_field``) gathers the left and right columns and the four uint8
-corner grids from that slice, takes its rows of the table with one
-``np.take`` per corner (or evaluates its own), gets the four weights from
-them and the corners, and sums them in the oracle's order
-((w1*p1 + w2*p2) + w3*p3) + w4*p4 in the weight buffers. TC
-(``_bicubic_field``) runs its horizontal pass over the slice, then its
-vertical pass, each summing its four taps in tap order. TN is not banded: it
-gathers its columns, then its rows, with one ``np.take`` each. Every pixel's
-arithmetic is the same whatever the block, the band or the table, so none of
-them changes an output bit.
+Each band reads only the source rows its taps reach: the slice between its
+first and last tap, or, when the taps number fewer than the rows of that
+slice (a strong downscale), those rows alone, gathered in order with the
+taps renumbered (``_band_source``). The 2x2 path (``_weighted_field``)
+gathers the left and right columns from them, a grid of source rows x band
+columns each, and the four uint8 corner grids from those. AT's and AC's
+value-only terms are evaluated on the two column grids, before the corners
+gather their rows of them: the unit-domain values v / 255, and AC's partial
+area v*v + a*a (a = 1 - dx on the left, dx on the right). At an upscale by
+r those grids have about 1/r of the band's rows, and with only the rows the
+taps reach, never more than two per band row. The path takes its rows of
+the table with one ``np.take`` per corner (or evaluates its own), gets the
+four weights from them, the corners and the terms, and sums them in the
+oracle's order ((w1*p1 + w2*p2) + w3*p3) + w4*p4 in the weight buffers. TC
+(``_bicubic_field``) runs its horizontal pass over the source rows, then its
+vertical pass, each summing its four taps in tap order. Either field is a
+fresh float64 array, rounded in place and cast straight into its block of
+the output (``image.quantize_into``). TN is not banded: it gathers its
+columns, then its rows, with one ``np.take`` each. Every pixel's arithmetic
+is the same whatever the block, the band, the table or the grid a term is
+evaluated on, so none of them changes an output bit.
 
 ``tests/oracle.py`` defines the semantics one pixel at a time, in plain
 Python; ``resize`` evaluates the same formulas over whole bands with numpy
@@ -66,7 +76,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .image import GrayImage, quantize as _quantize
+from .image import GrayImage, quantize_into as _quantize
 from . import weights as _w
 
 
@@ -74,18 +84,34 @@ class _Weights(NamedTuple):
     """How a 2x2 scheme weights its corners.
 
     ``position(dx, dy)`` gives the scheme's position-only arrays, or is None
-    when it has none (AC). ``weights(dx, dy, g, corners, intensity_domain)``
-    gives a band's four weights from ``g``, the band's rows of those arrays
-    (None for AC), and its uint8 corner grids.
+    when it has none (AC). ``values(dx, left, right, intensity_domain)``
+    gives its value-only terms on the band's left and right uint8 column
+    grids (the source rows it reads, at its x0 and x0 + 1 columns), one
+    array for each, or None when it needs none beyond the corners.
+    ``weights(dx, dy, g, corners, terms)`` gives a band's four weights from
+    ``g``, the band's rows of the position-only arrays (None for AC), its
+    uint8 corner grids, and ``terms``, each corner's value-only terms, an
+    iterable read once in corner order (None when there are none).
     """
 
     position: Callable | None
+    values: Callable
     weights: Callable
 
 
-def _position_only(dx, dy, g, p, d):
+def _no_values(dx, left, right, d):
+    """The value-only terms of a scheme that reads no intensity: none."""
+    return None
+
+
+def _position_only(dx, dy, g, p, t):
     """The weights of a scheme whose position-only arrays are its weights."""
     return g
+
+
+def _positional(weights):
+    """The table entry of a scheme whose weights depend on position alone."""
+    return _Weights(weights, _no_values, _position_only)
 
 
 #: Tag -> ``_Weights``, or None for the schemes with their own path (TN,
@@ -93,16 +119,22 @@ def _position_only(dx, dy, g, p, d):
 #: import, so a replaced module attribute is the one that runs.
 _WEIGHTS = {
     "TN": None,
-    "TB": _Weights(lambda dx, dy: _w.tetragon_weights(dx, dy), _position_only),
+    "TB": _positional(lambda dx, dy: _w.tetragon_weights(dx, dy)),
     "TC": None,
-    "MD": _Weights(lambda dx, dy: _w.md_weights(dx, dy), _position_only),
-    "HR": _Weights(lambda dx, dy: _w.hr_weights(dx, dy), _position_only),
+    "MD": _positional(lambda dx, dy: _w.md_weights(dx, dy)),
+    "HR": _positional(lambda dx, dy: _w.hr_weights(dx, dy)),
     "AT": _Weights(
         lambda dx, dy: _w.at_half_hypotenuses(dx, dy),
-        lambda dx, dy, g, p, d: _w.at_weights(dx, dy, domain_values(p, d), g),
+        # Raw values are the uint8 corners themselves.
+        lambda dx, l, r, d: None if d == "raw" else domain_values((l, r), d),
+        lambda dx, dy, g, p, t: _w.at_weights(dx, dy, p if t is None else t, g),
     ),
     "AC": _Weights(
-        None, lambda dx, dy, g, p, d: _w.ac_weights(dx, dy, domain_values(p, d))
+        None,
+        lambda dx, l, r, d: _w.ac_partial_areas(dx, *domain_values((l, r), d)),
+        # The partial areas are gathered before the call, so their column
+        # grids are freed before the areas are normalized.
+        lambda dx, dy, g, p, t: _w.ac_weights(dx, dy, p, tuple(t)),
     ),
 }
 
@@ -222,23 +254,43 @@ def _plan(
 
 
 def _band_source(pixels: np.ndarray, y_taps, band: slice):
-    """The band's row taps, the source rows they reach and the first of
-    those rows. Taps grow with the output index and the offset, so the
-    first and last taps bound the band."""
+    """The band's row taps, as indices into the source rows it reads, and
+    those rows.
+
+    Taps grow with the output index and the offset, so the first and last
+    taps bound the band: its source is that slice of ``pixels``. When the
+    taps number fewer than the rows they span (a strong downscale), only
+    the rows they reach are gathered, in order, and the taps are
+    renumbered to match.
+    """
     taps = [t[band] for t in y_taps]
-    top = taps[0][0]
-    return taps, pixels[top : taps[-1][-1] + 1], top
+    top, bottom = taps[0][0], taps[-1][-1] + 1
+    taps = [t - top for t in taps]
+    if sum(t.size for t in taps) >= bottom - top:
+        return taps, pixels[top:bottom]
+    reached = np.zeros(bottom - top, dtype=bool)
+    for t in taps:
+        reached[t] = True
+    # Each reached row's position among the reached rows, in order.
+    position = np.cumsum(reached) - 1
+    return [position[t] for t in taps], np.compress(reached, pixels[top:bottom], axis=0)
+
+
+def _corner_rows(left, right, yt, yb):
+    """Each corner's rows, P1..P4, of a left and a right column grid, one
+    corner at a time."""
+    for taps, columns in ((yt, left), (yt, right), (yb, left), (yb, right)):
+        yield np.take(columns, taps, axis=0)
 
 
 def _weighted_field(plan: _Plan, band: slice) -> np.ndarray:
     """Pre-quantization float output of the block rows ``band`` of a 2x2
-    weighted-sum resize."""
-    (yt, yb), source, top = _band_source(plan.pixels, plan.y_taps, band)
+    weighted-sum resize, in a fresh float64 array."""
+    (yt, yb), source = _band_source(plan.pixels, plan.y_taps, band)
     left, right = (np.take(source, x, axis=1) for x in plan.x_taps)
-    corners = tuple(
-        np.take(columns, taps - top, axis=0)
-        for taps, columns in ((yt, left), (yt, right), (yb, left), (yb, right))
-    )
+    # At a strong downscale the source is a copy, wider than the band.
+    del source
+    corners = tuple(_corner_rows(left, right, yt, yb))
     dx, dy = plan.x_factors, plan.y_factors[band]
     scheme = _WEIGHTS[plan.scheme]
     if plan.table is not None:
@@ -248,7 +300,12 @@ def _weighted_field(plan: _Plan, band: slice) -> np.ndarray:
         g = scheme.position(dx, dy)
     else:
         g = None
-    w1, w2, w3, w4 = scheme.weights(dx, dy, g, corners, plan.intensity_domain)
+    # Value-only terms on the two column grids, one row per source row the
+    # band reads; each corner gathers its rows of them as it is weighted.
+    terms = scheme.values(dx, left, right, plan.intensity_domain)
+    if terms is not None:
+        terms = _corner_rows(*terms, yt, yb)
+    w1, w2, w3, w4 = scheme.weights(dx, dy, g, corners, terms)
     # ((w1*p1 + w2*p2) + w3*p3) + w4*p4, the oracle's order, in the weight
     # buffers: each is a fresh band-shaped float64 array.
     p1, p2, p3, p4 = corners
@@ -296,13 +353,12 @@ def _cubic_sum(data: np.ndarray, taps, coefficients, axis: int) -> np.ndarray:
 
 def _bicubic_field(plan: _Plan, band: slice) -> np.ndarray:
     """Pre-quantization float output of the block rows ``band`` of the
-    separable bicubic resize: the horizontal pass over the source rows the
-    band's vertical taps reach, then the vertical pass."""
-    taps, source, top = _band_source(plan.pixels, plan.y_taps, band)
+    separable bicubic resize, in a fresh float64 array: the horizontal pass
+    over the source rows the band's vertical taps reach, then the vertical
+    pass."""
+    taps, source = _band_source(plan.pixels, plan.y_taps, band)
     horizontal = _cubic_sum(source, plan.x_taps, plan.x_factors, 1)
-    return _cubic_sum(
-        horizontal, [t - top for t in taps], [c[band] for c in plan.y_factors], 0
-    )
+    return _cubic_sum(horizontal, taps, [c[band] for c in plan.y_factors], 0)
 
 
 def resize(
@@ -340,11 +396,13 @@ def resize(
         plan = _plan(image, ratio, scheme, intensity_domain, rows, cols)
         for band in _spans(len(rows), max(1, _BAND_PIXELS // len(cols))):
             top = rows.start + band.start
-            # The field is not bound to a name, so it is freed before the
-            # next band's is built.
-            out[top : top + len(band), cols.start : cols.stop] = _quantize(
+            # The field is rounded in its own buffer and cast into the output;
+            # it is not bound to a name, so it is freed before the next
+            # band's is built.
+            _quantize(
                 (_bicubic_field if scheme == "TC" else _weighted_field)(
                     plan, slice(band.start, band.stop)
-                )
-            ).pixels
+                ),
+                out[top : top + len(band), cols.start : cols.stop],
+            )
     return GrayImage(out)

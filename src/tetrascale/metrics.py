@@ -11,6 +11,10 @@ the local mean of the product. ``mse``, ``psnr`` and ``ssim`` compute the
 same arithmetic for a single pair, so their values equal ``Scorer.score``'s
 bit for bit. Squares and products are formed as uint16, which holds 255^2
 exactly; the smoothing reads every line as doubles.
+
+The smoothing is scipy's ``correlate1d``. scipy is imported by the first
+smooth, not by this module, so importing the package or resizing an image
+never loads it (it takes several times longer to import than numpy).
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .image import GrayImage
 
@@ -68,6 +71,9 @@ _WINDOW = _gaussian_1d(SSIM_WINDOW_SIZE, SSIM_SIGMA)
 
 
 def _smooth(arr: np.ndarray) -> np.ndarray:
+    # Imported here, at the first score: a resize never needs scipy.
+    from scipy.ndimage import correlate1d
+
     # Separable, edge-symmetric ('reflect') pass; scipy reads integer lines as doubles.
     tmp = correlate1d(arr, _WINDOW, axis=0, output=np.float64, mode="reflect")
     return correlate1d(tmp, _WINDOW, axis=1, mode="reflect")

@@ -18,7 +18,8 @@ top-left corner, both in [0, 1].
 All functions take floats or broadcastable numpy arrays, uint8 intensities
 too, and return four floats or float64 arrays: one call weights a whole grid.
 No argument is written to, except precomputed half-hypotenuses given to
-``at_areas`` or ``at_weights``, which those functions consume.
+``at_areas`` or ``at_weights`` and precomputed partial areas given to
+``ac_areas`` or ``ac_weights``, which those functions consume.
 
 Position-only tables. TB, MD and HR weights, and AT's half-hypotenuse factor
 ``0.5 * sqrt(a*a + b*b)`` (``at_half_hypotenuses``), depend only on
@@ -39,16 +40,24 @@ as ``(0.5 * sqrt(...)) * v``; TB's weights are one multiply per corner, so
 ``tetragon_weights`` is not tabled per distinct dx; AC has no position-only
 prefix (``v * v`` is added first).
 
+Value-only terms. AC's area evaluates as ``((v*v + a*a) + b*b) * pi``, so
+its prefix ``v*v + a*a`` (``ac_partial_areas``) depends only on the corner's
+source pixel and its column. ``resize`` evaluates it, and the unit-domain
+values of AT and AC, once per source row a band reads rather than once per
+corner and output row, and passes each corner's rows of them in: AT's as
+its ``values``, AC's as ``partial_areas``.
+
 In-place arithmetic. Every band-sized step writes into an array that this
-module's own code allocated in that call, or into given half-hypotenuses:
-each MD, HR and AC area is built in one buffer, AT multiplies its
-half-hypotenuses by the corner values in place, and normalization sums the
-four areas into one buffer and divides into the areas. Where that sum is
-degenerate (AT with four zero corners) it is first set to 1 in the sum's
-buffer, and the tetragon weights are then written over those pixels alone,
-so the fallback allocates no band-sized grid beyond a mask. Scalars, and
-arrays whose shape or dtype cannot hold the result, take the ordinary
-out-of-place path, with the same values.
+module's own code allocated in that call, or into given half-hypotenuses
+or partial areas: each MD, HR and AC area is built in one buffer (AC's in
+its partial area), AT multiplies its half-hypotenuses by the corner values
+in place, and normalization sums the four areas into one buffer and divides
+into the areas. Whether any sum is degenerate is read from its minimum;
+only when one is (AT with four zero corners) is a mask built, the
+degenerate sums set to 1 in the sum's buffer, and the tetragon weights then
+written over those pixels alone, so the fallback allocates no band-sized
+grid beyond the mask. Scalars, and arrays whose shape or dtype cannot hold
+the result, take the ordinary out-of-place path, with the same values.
 """
 
 from __future__ import annotations
@@ -154,11 +163,11 @@ def _normalized_or_tetragon(raw, dx, dy):
     total = raw[0] + raw[1]
     total = _in_place(np.add, total, raw[2])
     total = _in_place(np.add, total, raw[3])
-    bad = total < EPSILON
-    if not np.any(bad):
+    if not np.min(total) < EPSILON:
         return tuple(_in_place(np.divide, w, total) for w in raw)
     if np.ndim(total) == 0:
         return tetragon_weights(dx, dy)
+    bad = total < EPSILON
     # ``total`` is this function's own array: its degenerate sums become 1,
     # so nothing divides by zero and the valid pixels divide as above. The
     # quotients are fresh arrays of ``total``'s shape, and each corner's
@@ -232,10 +241,12 @@ def at_areas(dx, dy, values, half_hypotenuses=None):
     """Triangle areas: base = tetragon hypotenuse, height = corner intensity.
 
     ``values`` are the four corner intensities P1..P4 in the caller's
-    intensity domain (raw [0,255] or unit [0,1]). The half-hypotenuses
-    (``at_half_hypotenuses(dx, dy)``) are multiplied by the values. A caller
-    that already has them passes them as ``half_hypotenuses``; they are then
-    multiplied in place, so it passes arrays it owns and does not read again.
+    intensity domain (raw [0,255] or unit [0,1]), or an iterator over them:
+    each is read once, in corner order, so a caller can build one corner's
+    values at a time. The half-hypotenuses (``at_half_hypotenuses(dx, dy)``)
+    are multiplied by the values. A caller that already has them passes them
+    as ``half_hypotenuses``; they are then multiplied in place, so it passes
+    arrays it owns and does not read again.
     """
     if half_hypotenuses is None:
         half_hypotenuses = at_half_hypotenuses(dx, dy)
@@ -243,29 +254,46 @@ def at_areas(dx, dy, values, half_hypotenuses=None):
 
 
 def at_weights(dx, dy, values, half_hypotenuses=None):
-    """Normalized intensity-height triangle weights; ``half_hypotenuses``
-    as for ``at_areas``.
+    """Normalized intensity-height triangle weights; ``values`` and
+    ``half_hypotenuses`` as for ``at_areas``.
 
     Falls back to tetragon weights where all four intensities vanish.
     """
     return _normalized_or_tetragon(at_areas(dx, dy, values, half_hypotenuses), dx, dy)
 
 
-def ac_areas(dx, dy, values):
+def _partial_area(a, v):
+    """AC's v*v + a*a (v^2 in float64: uint8 wraps)."""
+    return _in_place(np.add, np.square(v, dtype=np.float64), a * a)
+
+
+def ac_partial_areas(dx, left, right):
+    """AC's partial areas v*v + a*a, the part of each area that does not
+    depend on dy, for intensities ``left`` at the corners P1 and P3
+    (a = 1 - dx) and ``right`` at P2 and P4 (a = dx)."""
+    return _partial_area(1.0 - dx, left), _partial_area(dx, right)
+
+
+def ac_areas(dx, dy, values, partial_areas=None):
     """Circle areas with radius sqrt(v^2 + a^2 + b^2) per corner.
 
     The radius is the hypotenuse of the right triangle whose legs are the
-    corner intensity and the tetragon hypotenuse (v^2 in float64: uint8 wraps).
+    corner intensity and the tetragon hypotenuse; each area evaluates as
+    ((v*v + a*a) + b*b) * pi. A caller that already has each corner's
+    partial area v*v + a*a passes the four as ``partial_areas``; ``values``
+    are then not read, and the partial areas are completed in place, so it
+    passes arrays it owns and does not read again.
     """
-    areas = []
-    for (a, b), v in zip(corner_sides(dx, dy), values):
-        area = np.square(v, dtype=np.float64)
-        area = _in_place(np.add, area, a * a)
-        area = _in_place(np.add, area, b * b)
-        areas.append(_in_place(np.multiply, area, math.pi))
-    return tuple(areas)
+    sides = corner_sides(dx, dy)
+    if partial_areas is None:
+        partial_areas = [_partial_area(a, v) for (a, _), v in zip(sides, values)]
+    return tuple(
+        _in_place(np.multiply, _in_place(np.add, area, b * b), math.pi)
+        for area, (_, b) in zip(partial_areas, sides)
+    )
 
 
-def ac_weights(dx, dy, values):
-    """Normalized intensity-extended-hypotenuse circle weights."""
-    return _normalized_or_tetragon(ac_areas(dx, dy, values), dx, dy)
+def ac_weights(dx, dy, values, partial_areas=None):
+    """Normalized intensity-extended-hypotenuse circle weights;
+    ``partial_areas`` as for ``ac_areas``."""
+    return _normalized_or_tetragon(ac_areas(dx, dy, values, partial_areas), dx, dy)

@@ -10,10 +10,10 @@ from tetrascale.interpolate import (
     INTENSITY_DOMAINS,
     MAX_OUTPUT_PIXELS,
     SCHEMES,
-    _quantize,
     cubic_kernel,
     map_dst_to_src,
 )
+from tetrascale.image import quantize as _quantize
 from tetrascale import weights as w
 
 from conftest import constant_image, gray, whole_field
@@ -389,10 +389,12 @@ class TestResizeDispatch:
                 ratio, zero_block, id=f"{ratio}-zero_block" if zero_block else f"{ratio}"
             )
             for zero_block in (False, True)
-            for ratio in (0.75, 1.5, 2.0, 3.0, 3.7, 1e-300)
+            for ratio in (0.75, 1.5, 2.0, 3.0, 3.7, 1e-300, 0.3)
         ],
     )
     def test_matches_per_pixel_reference(self, scheme, ratio, zero_block, rng):
+        """At ratio 0.3 the taps of the 2x3 output reach 6 of the 9 source
+        rows, so the band gathers those alone."""
         pixels = rng.integers(0, 256, (9, 8)).astype(np.uint8)
         if zero_block:
             pixels[:3, :3] = 0
@@ -465,26 +467,62 @@ class TestResizeDispatch:
             pytest.param("MD", "raw", (64, 96), 4, 16, id="MD-raw-80"),
             pytest.param("HR", "raw", (64, 96), 4, 16, id="HR-raw-80"),
             pytest.param("AT", "raw", (64, 96), 4, 20, id="AT-raw-128"),
-            pytest.param("AT", "unit", (64, 96), 4, 30, id="AT-unit-160"),
+            pytest.param("AT", "unit", (64, 96), 4, 22, id="AT-unit-160"),
             pytest.param("AC", "raw", (64, 96), 4, 18, id="AC-raw-80"),
-            pytest.param("AC", "unit", (64, 96), 4, 28.5, id="AC-unit-112"),
+            pytest.param("AC", "unit", (64, 96), 4, 18, id="AC-unit-112"),
             pytest.param("TC", "raw", (64, 96), 4, 12, id="TC-raw-x4"),
             pytest.param("TC", "raw", (512, 2048), 0.5, 8, id="TC-raw-x0.5"),
+            pytest.param("TB", "raw", (2048, 2048), 0.1, 36, id="TB-raw-x0.1"),
+            pytest.param("TC", "raw", (2048, 2048), 0.1, 90, id="TC-raw-x0.1"),
         ],
     )
     def test_allocation_peak_per_output_pixel(self, scheme, domain, shape, ratio, bound):
         """Peak bytes allocated by one resize, per output pixel. At ratio 4
         the output is 384x256, four bands (85, 85, 85 and 1 rows), so one
         float64 grid of an 85-row band is about 2.7 B/px. At ratio 0.5 it is
-        1024x256, eight bands of 32 rows. Each bound is the peak measured
-        with numpy 2.4 (TB, MD, HR 14.5, AT raw 18.3, AT unit 28.9, AC raw
-        16.3, AC unit 27.0, TC 10.3 at ratio 4 and 6.4 at ratio 0.5) plus
-        less than 2 B/px, so one more float64 grid of a band fails it. The
-        black corner runs AT's fallback, its largest path. TC's
-        whole-image horizontal pass took 50.7 B/px at ratio 0.5."""
+        1024x256, eight bands of 32 rows. At ratio 0.1 it is 205x205, bands
+        of 159 and 46 rows, so a float64 grid of a band is about 6.2 B/px.
+        Each bound is the peak measured with numpy 2.4 (TB, MD, HR 14.6, AT
+        raw 18.3, AT unit 20.7, AC raw and unit 16.0, TC 10.3 at ratio 4
+        and 6.4 at ratio 0.5; TB 34.2 and TC 88.7 at ratio 0.1) plus less
+        than 2 B/px, so one more float64 grid of a band fails it. The black
+        corner runs AT's fallback, its largest path. TC's whole-image
+        horizontal pass took 50.7 B/px at ratio 0.5; AT's and AC's unit
+        values on the four corner grids took 28.9 and 27.0 B/px; reading
+        every source row between a band's first and last tap took TB 46.5
+        and TC 136.2 B/px at ratio 0.1."""
         img = formula_image(*shape)
         out, peak = allocation_peak(lambda: resize(img, ratio, scheme, domain))
         assert peak / out.pixels.size < bound
+
+    @pytest.mark.parametrize(
+        "scheme,domain", [("AT", "unit"), ("AC", "raw"), ("AC", "unit")]
+    )
+    def test_value_terms_at_source_row_resolution(self, scheme, domain, monkeypatch):
+        """AT's and AC's unit values and AC's partial areas v*v + a*a are
+        evaluated on the band's left and right column grids, one row per
+        source row the band reads, not on its four corner grids. At ratio 4
+        the 384x256 output is cut into bands of at most 85 rows, which read
+        at most 85/4 + 2 source rows."""
+        shapes = []
+        original_values = interpolate.domain_values
+        original_partial = w.ac_partial_areas
+
+        def values(grids, d):
+            shapes.extend(np.shape(g) for g in grids)
+            return original_values(grids, d)
+
+        def partial(dx, left, right):
+            shapes.extend((np.shape(left), np.shape(right)))
+            return original_partial(dx, left, right)
+
+        monkeypatch.setattr(interpolate, "domain_values", values)
+        monkeypatch.setattr(w, "ac_partial_areas", partial)
+        out = resize(formula_image(), 4, scheme, domain)
+        monkeypatch.undo()
+        band_rows = interpolate._BAND_PIXELS // out.width
+        assert band_rows == 85 and shapes
+        assert all(rows <= band_rows // 4 + 2 and cols == 384 for rows, cols in shapes)
 
     @pytest.mark.parametrize(
         "scheme,domain,bound", [("TB", "raw", 36), ("AT", "unit", 37), ("TC", "raw", 48)]

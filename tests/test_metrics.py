@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tetrascale
 from tetrascale import SCHEMES, GrayImage, downsample, metrics, mse, psnr, resize, ssim
 from tetrascale.metrics import (
     SSIM_SIGMA,
@@ -218,6 +223,9 @@ class TestScorer:
             GrayImage(rng.integers(0, 256, (512, 512)).astype(np.uint8))
             for _ in range(2)
         )
+        # The first score in a process imports scipy, which is not the
+        # per-pixel work bounded here.
+        ssim(a, b)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -227,3 +235,41 @@ class TestScorer:
         finally:
             tracemalloc.stop()
         assert peak / a.pixels.size < 56
+
+
+#: Run in a fresh interpreter: resizing, through the package and the
+#: ``resize`` command, loads no scipy module; the first score does, and its
+#: values are the free functions'.
+_LAZY_SCIPY = """
+import sys
+import numpy as np
+import tetrascale, tetrascale.cli
+from tetrascale import GrayImage, mse, psnr, resize, save_pgm, ssim
+from tetrascale.metrics import Scorer
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+img = GrayImage((np.arange(24 * 32) % 251).reshape(24, 32).astype(np.uint8))
+save_pgm(img, "in.pgm")
+reference = resize(img, 2.0, "AC", "unit")
+assert tetrascale.cli.main(
+    ["resize", "in.pgm", "out.pgm", "--ratio", "2", "--scheme", "AT"]
+) == 0
+assert not scipy_modules(), scipy_modules()
+output = resize(img, 2.0, "TB")
+score = Scorer(reference).score(output)
+assert score == (mse(reference, output), psnr(reference, output), ssim(reference, output))
+assert "scipy.ndimage" in scipy_modules()
+"""
+
+
+def test_scipy_loads_only_when_scoring(tmp_path):
+    package_root = str(Path(tetrascale.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCIPY],
+        capture_output=True, text=True, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
