@@ -7,10 +7,21 @@ the inputs; borders are handled by reflective (symmetric) padding.
 ``Scorer`` scores outputs against one reference. It smooths the reference
 once, keeping its local mean and variance (two float64 maps), so each output
 costs one MSE and three smooths: its local mean, its local mean square and
-the local mean of the product. ``mse``, ``psnr`` and ``ssim`` compute the
-same arithmetic for a single pair, so their values equal ``Scorer.score``'s
-bit for bit. Squares and products are formed as uint16, which holds 255^2
-exactly; the smoothing reads every line as doubles.
+the local mean of the product. ``mse``, ``psnr`` and ``ssim`` go through the
+same code for a single pair, so their values equal ``Scorer.score``'s bit
+for bit.
+
+Scoring runs in bands of whole rows, of at least ``_BAND_PIXELS`` pixels
+and ``_MIN_BAND_ROWS`` rows each (64 rows at 512 wide or wider, more on a
+narrower image; the last band may be shorter). A band is smoothed from a
+slab of its rows plus the ``_HALO`` rows on each side that the window
+reaches, and its SSIM terms are combined while they are in cache and
+divided straight into one full-size map, whose mean is taken once. Each
+line of a smooth is computed on its own, and at the top and bottom of the
+image 'reflect' mode mirrors the slab's edge rows as it mirrors the whole
+image's, so the map is bit for bit the one smooths of the whole image give.
+Squares and products are formed as uint16, which holds 255^2 exactly; the
+smoothing reads every line as doubles. MSE sums integer squares, exactly.
 
 The smoothing is scipy's ``correlate1d``. scipy is imported by the first
 smooth, not by this module, so importing the package or resizing an image
@@ -39,9 +50,17 @@ def _check_same_shape(a: GrayImage, b: GrayImage):
 
 
 def _mse(x: np.ndarray, y: np.ndarray) -> float:
-    diff = np.subtract(x, y, dtype=np.float64)
-    diff *= diff
-    return float(np.mean(diff))
+    """Mean squared difference of two uint8 arrays, its sum taken exactly
+    as an integer.
+
+    This is bit for bit ``np.mean`` of the float64 squares: each partial
+    sum of integer squares (at most 255^2 each) is an integer below 2^53
+    for any image under 1.38e11 pixels, so that float sum is this integer,
+    and both divide it by the size once, correctly rounded.
+    """
+    diff = np.subtract(x, y, dtype=np.int16)
+    total = int(np.square(diff, dtype=np.int32).sum(dtype=np.int64))
+    return total / diff.size
 
 
 def _psnr(err: float) -> float:
@@ -69,14 +88,36 @@ def _gaussian_1d(size: int, sigma: float) -> np.ndarray:
 
 _WINDOW = _gaussian_1d(SSIM_WINDOW_SIZE, SSIM_SIGMA)
 
+#: Rows the window reaches on each side of a pixel.
+_HALO = SSIM_WINDOW_SIZE // 2
 
-def _smooth(arr: np.ndarray) -> np.ndarray:
+#: A band of whole rows holds at least this many pixels, so the band's
+#: float64 arrays stay in cache while they are combined (64 rows at 512
+#: wide), and at least ``_MIN_BAND_ROWS`` rows, so the halo rows that each
+#: band's axis-0 pass smooths again cost at most 10/74 of it on a wide image.
+_BAND_PIXELS = 1 << 15
+_MIN_BAND_ROWS = 64
+
+
+def _smooth(slab: np.ndarray, offset: int, out: np.ndarray, buf: np.ndarray) -> None:
+    """Smooth the rows of ``slab`` from ``offset`` on, as many as ``out``
+    holds, into ``out``.
+
+    ``slab`` holds a band of rows and the rows within ``_HALO`` of it; at an
+    edge of the image, 'reflect' mode mirrors the rows past it as a smooth
+    of the whole image does. ``buf`` is Fortran-ordered float64 scratch of
+    at least ``slab``'s rows, so the axis-0 pass writes each column
+    contiguously. Each line of both passes is computed on its own, so
+    ``out`` holds exactly the rows a smooth of the whole image gives there.
+    """
     # Imported here, at the first score: a resize never needs scipy.
     from scipy.ndimage import correlate1d
 
     # Separable, edge-symmetric ('reflect') pass; scipy reads integer lines as doubles.
-    tmp = correlate1d(arr, _WINDOW, axis=0, output=np.float64, mode="reflect")
-    return correlate1d(tmp, _WINDOW, axis=1, mode="reflect")
+    tmp = buf[: len(slab)]
+    correlate1d(slab, _WINDOW, axis=0, output=tmp, mode="reflect")
+    rows = tmp[offset : offset + len(out)]
+    correlate1d(rows, _WINDOW, axis=1, output=out, mode="reflect")
 
 
 class Scorer:
@@ -93,10 +134,31 @@ class Scorer:
                 f"{SSIM_WINDOW_SIZE}x{SSIM_WINDOW_SIZE} SSIM window"
             )
         self.reference = reference
-        x = reference.pixels
-        self._mu_x = _smooth(x)
-        self._var_x = _smooth(np.square(x, dtype=np.uint16))
-        self._var_x -= self._mu_x * self._mu_x
+        height, width = reference.pixels.shape
+        self._band_rows = rows = min(max(_MIN_BAND_ROWS, _BAND_PIXELS // width), height)
+        # Each band's rows, the slab of rows its smooth reads, and the
+        # band's offset in that slab.
+        self._bands = []
+        for top in range(0, height, rows):
+            slab = slice(max(top - _HALO, 0), top + rows + _HALO)
+            self._bands.append((slice(top, top + rows), slab, top - slab.start))
+        self._mu_x = np.empty((height, width))
+        self._var_x = np.empty((height, width))
+        buf, (mu_xx,) = self._band_buffers(1)
+        for band, slab, offset in self._bands:
+            x = reference.pixels[slab]
+            mu_x, var_x = self._mu_x[band], self._var_x[band]
+            _smooth(x, offset, mu_x, buf)
+            _smooth(np.square(x, dtype=np.uint16), offset, var_x, buf)
+            var_x -= np.multiply(mu_x, mu_x, out=mu_xx[: len(mu_x)])
+
+    def _band_buffers(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """A smoothing buffer for ``_smooth``, of the largest slab's rows,
+        and ``count`` C-ordered float64 arrays of the largest band's shape."""
+        height, width = self.reference.pixels.shape
+        rows = self._band_rows
+        buf = np.empty((min(rows + 2 * _HALO, height), width), order="F")
+        return buf, np.empty((count, rows, width))
 
     def score(self, output: GrayImage) -> tuple[float, float, float]:
         """``(mse, psnr, ssim)`` of ``output`` against the reference."""
@@ -107,37 +169,41 @@ class Scorer:
     def _ssim_map(self, output: GrayImage) -> np.ndarray:
         """Local SSIM map of ``output``, which has the reference's size.
 
-        Evaluates num / den with num = (2 mu_xy + C1)(2 cov_xy + C2) and
-        den = (mu_xx + mu_yy + C1)(var_x + var_y + C2) in place, operand for
-        operand as written: only the order of commutative operands differs,
-        which changes no bit. Partial sums such as mu_xx + C1 are not
-        precomputed, because regrouping a sum does change bits.
+        Each band evaluates num / den with num = (2 mu_xy + C1)(2 cov_xy +
+        C2) and den = (mu_xx + mu_yy + C1)(var_x + var_y + C2) in place,
+        operand for operand as written: only the order of commutative
+        operands differs, which changes no bit. Partial sums such as
+        mu_xx + C1 are not precomputed, because regrouping a sum does
+        change bits.
         """
-        x, y = self.reference.pixels, output.pixels
-        mu_x, var_x = self._mu_x, self._var_x
+        ssim_map = np.empty(output.pixels.shape)
+        buf, arrays = self._band_buffers(4)
+        for band, slab, offset in self._bands:
+            x, y = self.reference.pixels[slab], output.pixels[slab]
+            mu_x, var_x = self._mu_x[band], self._var_x[band]
+            mu_y, var_y, cov, den = arrays[:, : len(mu_x)]
 
-        mu_y = _smooth(y)
-        var_y = _smooth(np.square(y, dtype=np.uint16))
-        den = mu_y * mu_y  # mu_yy
-        var_y -= den
-        den += mu_x * mu_x
-        den += _C1
-        var_y += var_x
-        var_y += _C2
-        den *= var_y
-        del var_y  # one map fewer while the third smooth runs
+            _smooth(y, offset, mu_y, buf)
+            _smooth(np.square(y, dtype=np.uint16), offset, var_y, buf)
+            np.multiply(mu_y, mu_y, out=den)  # mu_yy
+            var_y -= den
+            den += np.multiply(mu_x, mu_x, out=cov)  # cov's array, before its smooth
+            den += _C1
+            var_y += var_x
+            var_y += _C2
+            den *= var_y
 
-        num = mu_y
-        num *= mu_x  # mu_xy
-        cov = _smooth(np.multiply(x, y, dtype=np.uint16))
-        cov -= num
-        num *= 2.0
-        num += _C1
-        cov *= 2.0
-        cov += _C2
-        num *= cov
-        num /= den
-        return num
+            num = mu_y
+            num *= mu_x  # mu_xy
+            _smooth(np.multiply(x, y, dtype=np.uint16), offset, cov, buf)
+            cov -= num
+            num *= 2.0
+            num += _C1
+            cov *= 2.0
+            cov += _C2
+            num *= cov
+            np.divide(num, den, out=ssim_map[band])
+        return ssim_map
 
 
 def _ssim_map(a: GrayImage, b: GrayImage) -> np.ndarray:

@@ -250,7 +250,14 @@ def at_areas(dx, dy, values, half_hypotenuses=None):
     """
     if half_hypotenuses is None:
         half_hypotenuses = at_half_hypotenuses(dx, dy)
-    return tuple(_in_place(np.multiply, h, v) for h, v in zip(half_hypotenuses, values))
+    # Each corner's values are drawn inside its multiply and freed with it;
+    # zip's reused result tuple would hold them while the next are built.
+    values = iter(values)
+    areas = tuple(_in_place(np.multiply, h, next(values)) for h in half_hypotenuses)
+    # Run the iterator to its end: a generator then frees what it holds,
+    # such as a caller's column grids of values, before normalization.
+    next(values, None)
+    return areas
 
 
 def at_weights(dx, dy, values, half_hypotenuses=None):

@@ -467,7 +467,7 @@ class TestResizeDispatch:
             pytest.param("MD", "raw", (64, 96), 4, 16, id="MD-raw-80"),
             pytest.param("HR", "raw", (64, 96), 4, 16, id="HR-raw-80"),
             pytest.param("AT", "raw", (64, 96), 4, 20, id="AT-raw-128"),
-            pytest.param("AT", "unit", (64, 96), 4, 22, id="AT-unit-160"),
+            pytest.param("AT", "unit", (64, 96), 4, 20, id="AT-unit-160"),
             pytest.param("AC", "raw", (64, 96), 4, 18, id="AC-raw-80"),
             pytest.param("AC", "unit", (64, 96), 4, 18, id="AC-unit-112"),
             pytest.param("TC", "raw", (64, 96), 4, 12, id="TC-raw-x4"),
@@ -483,12 +483,14 @@ class TestResizeDispatch:
         1024x256, eight bands of 32 rows. At ratio 0.1 it is 205x205, bands
         of 159 and 46 rows, so a float64 grid of a band is about 6.2 B/px.
         Each bound is the peak measured with numpy 2.4 (TB, MD, HR 14.6, AT
-        raw 18.3, AT unit 20.7, AC raw and unit 16.0, TC 10.3 at ratio 4
+        raw and unit 18.3, AC raw and unit 16.0, TC 10.3 at ratio 4
         and 6.4 at ratio 0.5; TB 34.2 and TC 88.7 at ratio 0.1) plus less
         than 2 B/px, so one more float64 grid of a band fails it. The black
         corner runs AT's fallback, its largest path. TC's whole-image
         horizontal pass took 50.7 B/px at ratio 0.5; AT's and AC's unit
-        values on the four corner grids took 28.9 and 27.0 B/px; reading
+        values on the four corner grids took 28.9 and 27.0 B/px, and AT unit
+        20.7 B/px while it held two corners' values at once and its column
+        grids of values through normalization; reading
         every source row between a band's first and last tap took TB 46.5
         and TC 136.2 B/px at ratio 0.1."""
         img = formula_image(*shape)
@@ -530,7 +532,7 @@ class TestResizeDispatch:
     def test_rows_wider_than_a_band_are_cut_into_spans(self, scheme, domain, bound):
         """A 1x131072 image at ratio 1 is one output row of four bands'
         pixels. Cut into column spans of ``_BAND_PIXELS``, its peak per output
-        pixel is fixed: measured with numpy 2.4, TB 33.1, AT unit 34.8 and TC
+        pixel is fixed: measured with numpy 2.4, TB 33.1, AT unit 31.2 and TC
         45.3 B/px, most of it the plan and the table of one span. As one band,
         the row took 79.0, 104.0 and 113.0 B/px."""
         pixels = ((np.arange(131072) * 37) % 256).astype(np.uint8)

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -168,6 +169,49 @@ def _pairs():
         yield f"scene-{tag}", reference, resize(low, 4, tag)
 
 
+def _seam_pairs():
+    """Random references against noisy copies, in shapes whose rows cut the
+    scorer's bands unevenly (2978 + 1022 rows at 11 wide, 64 + 64 + 22 at
+    700 wide), end in a band of one row (129 rows at 512 and 513 wide), or
+    fit in one band, however wide."""
+    rng = np.random.default_rng(14)
+    for height, width in (
+        (129, 513), (4000, 11), (11, 4000), (300, 12), (12, 300), (129, 512),
+        (11, 33000), (150, 700),
+    ):
+        reference = rng.integers(0, 256, (height, width)).astype(np.uint8)
+        noisy = reference + rng.integers(-40, 41, (height, width))
+        yield f"{width}x{height}", GrayImage(reference), GrayImage(
+            np.clip(noisy, 0, 255).astype(np.uint8)
+        )
+
+
+#: ``float.hex`` of ``(mse, psnr, ssim)`` for every pair of ``_pairs`` and
+#: ``_seam_pairs``, as the whole-image smooths and the float64 MSE computed
+#: them before scoring was banded.
+PINNED_SCORES = {
+    "flat": ("0x1.9000000000000p+10", "0x1.016f04601cd7dp+4", "0x1.df3d92c46ab1fp-1"),
+    "identical": ("0x0.0p+0", "inf", "0x1.0000000000000p+0"),
+    "inverted": ("0x1.62c8325c53ef3p+14", "0x1.2470d9ceb8926p+2", "-0x1.eddf91a923bbfp-1"),
+    "random-odd": ("0x1.55993825340fep+13", "0x1.efa00e9ef3d71p+2", "0x1.de820daef6722p-7"),
+    "scene-TN": ("0x1.7df4c00000000p+8", "0x1.64f880b563e06p+4", "0x1.8ca939cad6893p-1"),
+    "scene-TB": ("0x1.5e1cf55555555p+8", "0x1.6b04ff05c3c56p+4", "0x1.b27d76620f91fp-1"),
+    "scene-TC": ("0x1.23b86aaaaaaabp+8", "0x1.77b2bb98faa3ep+4", "0x1.ba3855d97e25cp-1"),
+    "scene-MD": ("0x1.471eeaaaaaaabp+8", "0x1.6fbd53bc24d37p+4", "0x1.b2b67af866788p-1"),
+    "scene-HR": ("0x1.8b79f55555555p+8", "0x1.628db684684c2p+4", "0x1.a81e6c2598bd8p-1"),
+    "scene-AT": ("0x1.a4caf55555555p+9", "0x1.2e13bec0d4714p+4", "0x1.854b377e08f33p-1"),
+    "scene-AC": ("0x1.180e555555555p+10", "0x1.1a343ea15a816p+4", "0x1.5e6c641f4509dp-1"),
+    "513x129": ("0x1.f996da477318dp+8", "0x1.517c3636c2dc4p+4", "0x1.e7c242e25bb07p-1"),
+    "11x4000": ("0x1.f3e89de1d6aafp+8", "0x1.524535cde2fbdp+4", "0x1.e7cc4fa1e8d83p-1"),
+    "4000x11": ("0x1.f4960b8b13ebep+8", "0x1.522d1eb94167ep+4", "0x1.e7cceed50b870p-1"),
+    "12x300": ("0x1.00bdddddddddep+9", "0x1.50689cb9dbbe8p+4", "0x1.e700fc7366e3dp-1"),
+    "300x12": ("0x1.f07fc962fc963p+8", "0x1.52bef2e74fc56p+4", "0x1.e83cd83b2ce61p-1"),
+    "512x129": ("0x1.f61c57515d457p+8", "0x1.51f706575feb7p+4", "0x1.e80de9421a556p-1"),
+    "33000x11": ("0x1.f733818de8f85p+8", "0x1.51d06ed9cf1a4p+4", "0x1.e7adc94035e5ep-1"),
+    "700x150": ("0x1.fa43b0f779f6ap+8", "0x1.5164791984d9ap+4", "0x1.e7c45a72b6b56p-1"),
+}
+
+
 class TestScorer:
     """One scorer per reference: the reference is smoothed once, and every
     score equals the free functions' values exactly."""
@@ -185,22 +229,51 @@ class TestScorer:
         if name == "identical":
             assert expected[1:] == (math.inf, 1.0)
 
+    @pytest.mark.parametrize(
+        "name,reference,output",
+        [pytest.param(*p, id=p[0]) for p in (*_pairs(), *_seam_pairs())],
+    )
+    def test_outputs_pinned(self, name, reference, output):
+        score = Scorer(reference).score(output)
+        assert tuple(float.hex(v) for v in score) == PINNED_SCORES[name]
+
+    # Bands of one row, and of 7 rows, which cut the 37-, 40- and 64-row
+    # images unevenly.
+    @pytest.mark.parametrize("band_rows", (1, 7))
+    def test_band_seams_are_exact(self, band_rows, monkeypatch):
+        expected = {name: Scorer(a).score(b) for name, a, b in _pairs()}
+        monkeypatch.setattr(metrics, "_BAND_PIXELS", 0)
+        monkeypatch.setattr(metrics, "_MIN_BAND_ROWS", band_rows)
+        for name, reference, output in _pairs():
+            assert Scorer(reference).score(output) == expected[name], name
+
     def test_reference_smoothed_once(self, monkeypatch):
+        """The reference's two quantities are smoothed band by band at
+        construction only; each score smooths the output's three (its
+        pixels, their squares and their products with the reference's),
+        once per band."""
         calls = []
         original = metrics._smooth
 
-        def counted(arr):
-            calls.append(1)
-            return original(arr)
+        def counted(slab, offset, out, buf):
+            calls.append((slab.dtype, slab.shape))
+            return original(slab, offset, out, buf)
 
         monkeypatch.setattr(metrics, "_smooth", counted)
+        # Bands of 20, 20 and 8 rows; with the 5 rows the window reaches on
+        # each side inside the image, slabs of 25, 30 and 13 rows.
+        monkeypatch.setattr(metrics, "_BAND_PIXELS", 0)
+        monkeypatch.setattr(metrics, "_MIN_BAND_ROWS", 20)
         reference = _scene(48, 40)
+        slabs = [(25, 40), (30, 40), (13, 40)]
         scorer = Scorer(reference)
-        assert len(calls) == 2
+        u8, u16 = np.dtype(np.uint8), np.dtype(np.uint16)
+        assert calls == [(dtype, s) for s in slabs for dtype in (u8, u16)]
         outputs = [resize(downsample(reference, 4), 4, tag) for tag in ("TB", "AC")]
-        for n, output in enumerate(outputs, start=1):
+        for output in outputs:
+            del calls[:]
             scorer.score(output)
-            assert len(calls) == 2 + 3 * n
+            assert calls == [(dtype, s) for s in slabs for dtype in (u8, u16, u16)]
 
     def test_dimension_mismatch(self):
         scorer = Scorer(constant_image(16, 16, 0))
@@ -211,13 +284,10 @@ class TestScorer:
         with pytest.raises(ValueError, match="smaller than"):
             Scorer(constant_image(8, 40, 0))
 
-    def test_ssim_allocation_peak_per_pixel(self):
-        """Peak bytes ``ssim`` allocates for one 512x512 pair, per pixel.
-        Measured 50.0 B/px with numpy 2.4 and scipy 1.17, during the third
-        smooth: the scorer's two float64 maps, the two held for the output,
-        that smooth's temporary and result, and its uint16 input. The bound
-        adds 6 B/px, so one more float64 map (8 B/px) fails it; holding all
-        five smooths and their products at once took 88 B/px."""
+    @staticmethod
+    def _allocation_peak_per_pixel(prepare):
+        """Peak bytes allocated, per pixel, by the call that ``prepare(a, b)``
+        returns for one 512x512 pair; ``prepare`` itself is not counted."""
         rng = np.random.default_rng(9)
         a, b = (
             GrayImage(rng.integers(0, 256, (512, 512)).astype(np.uint8))
@@ -226,15 +296,36 @@ class TestScorer:
         # The first score in a process imports scipy, which is not the
         # per-pixel work bounded here.
         ssim(a, b)
+        run = prepare(a, b)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            ssim(a, b)
+            run()
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak / a.pixels.size < 56
+        return peak / a.pixels.size
+
+    def test_ssim_allocation_peak_per_pixel(self):
+        """Measured 29.6 B/px with numpy 2.4 and scipy 1.17: the scorer's
+        two float64 maps, the SSIM map, and one band's four float64 arrays
+        and smoothing buffer (about 5 B/px at 512 wide). The bound adds
+        6.4 B/px, so one more float64 map (8 B/px) fails it. Whole-image
+        smooths took 50.0 B/px, and holding all five smooths and their
+        products at once 88 B/px."""
+        peak = self._allocation_peak_per_pixel(lambda a, b: lambda: ssim(a, b))
+        assert peak < 36
+
+    def test_score_allocation_peak_per_pixel(self):
+        """Measured 13.6 B/px with numpy 2.4 and scipy 1.17 for one score
+        against a built scorer: the SSIM map and one band's arrays and
+        buffer. The bound adds 5.4 B/px, so one more float64 map fails it.
+        Whole-image smooths took 34.0 B/px."""
+        peak = self._allocation_peak_per_pixel(
+            lambda a, b: functools.partial(Scorer(a).score, b)
+        )
+        assert peak < 19
 
 
 #: Run in a fresh interpreter: resizing, through the package and the
