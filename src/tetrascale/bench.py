@@ -34,6 +34,14 @@ from .metrics import Scorer
 DOWNSAMPLERS = ("box", "decimate", "precomputed")
 
 
+def _integer_at_least(minimum: int, value, name: str) -> int:
+    """``value`` as an int; ValueError unless it is a whole number, such as
+    4 or 4.0, of at least ``minimum`` (not inf, nan or 2.5)."""
+    if not (math.isfinite(value) and value >= minimum and value == int(value)):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class BenchConfig:
     """Benchmark run parameters. Validated on construction."""
@@ -54,10 +62,7 @@ class BenchConfig:
         self.algorithms = tuple(self.algorithms)
         if not self.ratios:
             raise ValueError("at least one ratio is required")
-        for r in self.ratios:
-            if int(r) != r or r < 2:
-                raise ValueError(f"ratios must be integers >= 2, got {r!r}")
-        self.ratios = tuple(int(r) for r in self.ratios)
+        self.ratios = tuple(_integer_at_least(2, r, "ratio") for r in self.ratios)
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
         for tag in self.algorithms:
@@ -70,8 +75,7 @@ class BenchConfig:
             raise ValueError(f"unknown intensity domain {self.intensity_domain!r}")
         if self.downsampler not in DOWNSAMPLERS:
             raise ValueError(f"unknown downsampler {self.downsampler!r}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        self.repetitions = _integer_at_least(1, self.repetitions, "repetitions")
 
 
 @dataclass
@@ -107,9 +111,7 @@ AGGREGATES_HEADER = [f.name for f in fields(AggregateRow)]
 def downsample(image: GrayImage, factor: int, method: str = "box") -> GrayImage:
     """Shrink by an integer factor: block mean ("box") or top-left sample
     of each block ("decimate"). Dimensions must be divisible by the factor."""
-    if factor < 2 or int(factor) != factor:
-        raise ValueError(f"factor must be an integer >= 2, got {factor!r}")
-    factor = int(factor)
+    factor = _integer_at_least(2, factor, "factor")
     h, w = image.height, image.width
     if h % factor or w % factor:
         raise ValueError(f"dimensions {w}x{h} not divisible by factor {factor}")

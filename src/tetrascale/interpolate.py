@@ -32,14 +32,15 @@ uint8 output once and splits it into blocks of at most ``_BAND_PIXELS`` rows
 and columns: one block unless a side of the output is longer than that. For
 each block ``_plan`` does the position-only work once: the taps and
 fractions of every row and column (TC: the cubic coefficients of both axes)
-and, when the block's distinct dy are few enough, the scheme's position-only
-arrays (TB's, MD's and HR's weights, AT's half-hypotenuses) on all dx x the
-distinct dy, through the scheme's own ``weights`` function. That table is
-kept only if it holds at most ``_BAND_PIXELS`` pixels, one band's worth;
-otherwise each band evaluates its own dy. A band is ``_BAND_PIXELS`` output
-pixels rounded down to whole rows of its block, at least one row, so a row
-wider than ``_BAND_PIXELS`` is cut into column spans (the blocks) and no
-band grows with the output's shape.
+and, when all dx x the block's distinct dy hold at most ``_BAND_PIXELS``
+pixels, one band's worth, the scheme's position-only arrays (TB's, MD's and
+HR's weights, AT's half-hypotenuses) on that table, through the scheme's
+own ``weights`` function; otherwise each band evaluates them on its own
+rows. That is the one place position-only work is tabled: the ``weights``
+functions are elementwise and evaluate exactly what they are given. A band
+is ``_BAND_PIXELS`` output pixels rounded down to whole rows of its block,
+at least one row, so a row wider than ``_BAND_PIXELS`` is cut into column
+spans (the blocks) and no band grows with the output's shape.
 
 Each band reads only the source rows its taps reach: the slice between its
 first and last tap, or, when the taps number fewer than the rows of that
@@ -55,8 +56,9 @@ taps reach, never more than two per band row. The path takes its rows of
 the table with one ``np.take`` per corner (or evaluates its own), gets the
 four weights from them, the corners and the terms, and sums them in the
 oracle's order ((w1*p1 + w2*p2) + w3*p3) + w4*p4 in the weight buffers. TC
-(``_bicubic_field``) runs its horizontal pass over the source rows, then its
-vertical pass, each summing its four taps in tap order. Either field is a
+(``_bicubic_field``) gathers its four column taps from the source rows and
+lets the rows go before its horizontal pass, then runs its vertical pass,
+each pass summing its four taps in tap order. Either field is a
 fresh float64 array, rounded in place and cast straight into its block of
 the output (``image.quantize_into``). TN is not banded: it gathers its
 columns, then its rows, with one ``np.take`` each. Every pixel's arithmetic
@@ -336,13 +338,13 @@ def cubic_kernel(t):
     return np.where(at <= 1.0, inner, np.where(at < 2.0, outer, 0.0))
 
 
-def _cubic_sum(data: np.ndarray, taps, coefficients, axis: int) -> np.ndarray:
-    """One cubic pass: the four taps of ``data`` along ``axis``, each times
-    its coefficient, summed in tap order."""
+def _cubic_sum(terms, coefficients) -> np.ndarray:
+    """One cubic pass: the samples of each of the four taps, ``terms``
+    (an iterable read once in tap order), times its coefficient, summed in
+    tap order."""
     acc = None
-    for idx, coefficient in zip(taps, coefficients):
-        term = np.take(data, idx, axis=axis)
-        # A float64 gather is multiplied in place; a uint8 one is promoted.
+    for term, coefficient in zip(terms, coefficients):
+        # A float64 tap is multiplied in place; a uint8 one is promoted.
         term = np.multiply(term, coefficient, out=term if term.dtype == np.float64 else None)
         if acc is None:
             acc = term
@@ -357,8 +359,13 @@ def _bicubic_field(plan: _Plan, band: slice) -> np.ndarray:
     over the source rows the band's vertical taps reach, then the vertical
     pass."""
     taps, source = _band_source(plan.pixels, plan.y_taps, band)
-    horizontal = _cubic_sum(source, plan.x_taps, plan.x_factors, 1)
-    return _cubic_sum(horizontal, taps, [c[band] for c in plan.y_factors], 0)
+    columns = [np.take(source, x, axis=1) for x in plan.x_taps]
+    # At a strong downscale the source is a copy, wider than the band.
+    del source
+    horizontal = _cubic_sum(columns, plan.x_factors)
+    del columns
+    rows = (np.take(horizontal, t, axis=0) for t in taps)
+    return _cubic_sum(rows, [c[band] for c in plan.y_factors])
 
 
 def resize(

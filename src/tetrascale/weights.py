@@ -21,24 +21,14 @@ No argument is written to, except precomputed half-hypotenuses given to
 ``at_areas`` or ``at_weights`` and precomputed partial areas given to
 ``ac_areas`` or ``ac_weights``, which those functions consume.
 
-Position-only tables. TB, MD and HR weights, and AT's half-hypotenuse factor
+Position-only terms. TB, MD and HR weights, and AT's half-hypotenuse factor
 ``0.5 * sqrt(a*a + b*b)`` (``at_half_hypotenuses``), depend only on
-(dx, dy). ``resize`` evaluates them once per resize, on all dx x the
-distinct dy, when that table holds at most one band's pixels, and reads
-each band's rows from it; AT's factor is then passed to ``at_weights``.
-Within one call, when ``dx`` is a row (shape (1, w)) and ``dy`` a column
-(shape (h, 1)), ``_per_distinct`` evaluates MD's, HR's or AT's expression
-once on the grid of distinct dy x distinct dx (``_distinct``: what
-``np.unique(..., return_inverse=True)`` gives) and expands each result with
-one ``np.take`` per axis. An axis whose distinct values number more than
-half its length is evaluated directly instead, since there the sort and the
-gather cost more than they save (at ratio 2.7*sqrt(2) no fraction repeats).
-The choice is made per axis and per call, from the values alone. Each table
-entry is the same elementwise arithmetic on the same operands, so no table
-changes a bit. AT's factor can be tabled exactly because its areas evaluate
-as ``(0.5 * sqrt(...)) * v``; TB's weights are one multiply per corner, so
-``tetragon_weights`` is not tabled per distinct dx; AC has no position-only
-prefix (``v * v`` is added first).
+(dx, dy). Every function here is elementwise and evaluates exactly the grid
+it is given, so ``resize`` can table the position-only ones (see
+``interpolate._plan``) without changing a bit, and passes AT's factor to
+``at_weights``. AT's factor can be tabled exactly because its areas
+evaluate as ``(0.5 * sqrt(...)) * v``; AC has no position-only prefix
+(``v * v`` is added first).
 
 Value-only terms. AC's area evaluates as ``((v*v + a*a) + b*b) * pi``, so
 its prefix ``v*v + a*a`` (``ac_partial_areas``) depends only on the corner's
@@ -117,43 +107,6 @@ def _fits(buf, operand):
     )
 
 
-def _distinct(values):
-    """Sorted distinct values of a 1-D axis and the inverse that expands them
-    back, or the axis itself and None when more than half its values are
-    distinct.
-
-    The same result as ``np.unique(values, return_inverse=True)``; a sort and
-    a comparison cost about 10 us on a 1024-wide axis, ``np.unique`` 45 us,
-    and an axis that goes direct pays only for the sort.
-    """
-    ordered = np.sort(values)
-    starts = ordered[1:] != ordered[:-1]
-    if 2 * (1 + np.count_nonzero(starts)) > values.size:
-        return values, None
-    distinct = np.concatenate((ordered[:1], ordered[1:][starts]))
-    return distinct, np.searchsorted(distinct, values)
-
-
-def _per_distinct(expression, dx, dy):
-    """``expression(dx, dy)``, a tuple of position-only arrays, evaluated once
-    per distinct (dx, dy) when ``dx`` is a row and ``dy`` a column.
-
-    Any other input is evaluated directly. See the module docstring.
-    """
-    if not (np.ndim(dx) == np.ndim(dy) == 2 and dx.shape[0] == dy.shape[1] == 1):
-        return expression(dx, dy)
-    xs, x_inverse = _distinct(dx[0])
-    ys, y_inverse = _distinct(dy[:, 0])
-    if x_inverse is None and y_inverse is None:
-        return expression(dx, dy)
-    table = expression(xs[None, :], ys[:, None])
-    if x_inverse is not None:
-        table = tuple(np.take(t, x_inverse, axis=1) for t in table)
-    if y_inverse is not None:
-        table = tuple(np.take(t, y_inverse, axis=0) for t in table)
-    return table
-
-
 def _normalized_or_tetragon(raw, dx, dy):
     """Normalize raw weights, falling back to tetragon weights where the
     sum is degenerate (e.g. all-zero intensities in AT).
@@ -183,7 +136,7 @@ def tetragon_weights(dx, dy):
     """Bilinear weights: the four opposite-tetragon areas.
 
     The areas partition the unit square, so they already sum to one and no
-    normalization is applied. Evaluated directly on what it is given.
+    normalization is applied.
     """
     return tuple(a * b for a, b in corner_sides(dx, dy))
 
@@ -197,11 +150,8 @@ def md_areas(dx, dy):
 
 
 def md_weights(dx, dy):
-    """Normalized minimum-side-diameter circle weights, tabled per distinct
-    (dx, dy)."""
-    return _per_distinct(
-        lambda x, y: _normalized_or_tetragon(md_areas(x, y), x, y), dx, dy
-    )
+    """Normalized minimum-side-diameter circle weights."""
+    return _normalized_or_tetragon(md_areas(dx, dy), dx, dy)
 
 
 def hr_areas(dx, dy):
@@ -213,28 +163,20 @@ def hr_areas(dx, dy):
 
 
 def hr_weights(dx, dy):
-    """Normalized hypotenuse-radius circle weights, tabled per distinct
-    (dx, dy).
+    """Normalized hypotenuse-radius circle weights.
 
     Note this scheme is not interpolating: at offset (0, 0) the coincident
     corner gets weight 0.5, not 1.
     """
-    return _per_distinct(
-        lambda x, y: _normalized_or_tetragon(hr_areas(x, y), x, y), dx, dy
-    )
+    return _normalized_or_tetragon(hr_areas(dx, dy), dx, dy)
 
 
-def _half_hypotenuses(dx, dy):
+def at_half_hypotenuses(dx, dy):
     """AT's position-only factor, 0.5 * sqrt(a*a + b*b), per corner."""
     return tuple(
         _in_place(np.multiply, _in_place(np.sqrt, np.add(a * a, b * b)), 0.5)
         for a, b in corner_sides(dx, dy)
     )
-
-
-def at_half_hypotenuses(dx, dy):
-    """AT's position-only factor per corner, tabled per distinct (dx, dy)."""
-    return _per_distinct(_half_hypotenuses, dx, dy)
 
 
 def at_areas(dx, dy, values, half_hypotenuses=None):

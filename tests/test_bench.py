@@ -132,6 +132,20 @@ class TestBenchConfig:
         with pytest.raises(ValueError):
             BenchConfig(corpus_dir=tmp_path, output_dir=tmp_path / "out", **kwargs)
 
+    @pytest.mark.parametrize("bad", (math.inf, math.nan, 2.5), ids=("inf", "nan", "2.5"))
+    def test_non_integer_counts_rejected(self, bad, tmp_path):
+        """Ratios, repetitions and the downsample factor are whole numbers:
+        anything else raises ValueError with the same message."""
+        dirs = {"corpus_dir": tmp_path, "output_dir": tmp_path / "out"}
+        calls = {
+            "ratio": lambda: BenchConfig(**dirs, ratios=(bad,)),
+            "repetitions": lambda: BenchConfig(**dirs, repetitions=bad),
+            "factor": lambda: downsample(constant_image(8, 8, 0), bad),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
+                call()
+
 
 class TestCorpusDiscovery:
     def test_sorted_discovery(self, tmp_path):

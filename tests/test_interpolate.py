@@ -275,13 +275,9 @@ class TestWeightedResize:
                 assert np.all(out.pixels == 93)
 
 
-#: Tags whose position-only weight factors ``weights`` tables per distinct
-#: (dx, dy): all of MD's and HR's weights, AT's half-hypotenuses.
-TABLED_SCHEMES = ("MD", "HR", "AT")
-
-#: Tags whose position-only arrays ``resize`` evaluates once per block:
-#: the tabled ones and TB's weights.
-POSITION_SCHEMES = ("TB",) + TABLED_SCHEMES
+#: Tags whose position-only arrays ``resize`` evaluates once per block: TB's,
+#: MD's and HR's weights, AT's half-hypotenuses.
+POSITION_SCHEMES = ("TB", "MD", "HR", "AT")
 
 #: A ratio at which no fraction repeats along an axis.
 IRRATIONAL_RATIO = 2.7 * math.sqrt(2)
@@ -306,20 +302,20 @@ def position_grids(monkeypatch, image, ratio, scheme, domain="raw"):
 class TestPositionTables:
     """``resize`` evaluates a scheme's position-only arrays once per block,
     on all dx x the distinct dy, when that table holds at most one band's
-    pixels, and once per band otherwise. MD, HR and AT then evaluate their
-    position-only factors once per distinct (dx, dy) of what they are given,
-    unless more than half of an axis's values are distinct; either way the
-    output is the oracle's."""
+    pixels, and once per band otherwise; the ``weights`` functions evaluate
+    exactly the grid they are given. Either way the output is the
+    oracle's."""
 
-    @pytest.mark.parametrize("scheme", TABLED_SCHEMES)
+    @pytest.mark.parametrize("scheme", POSITION_SCHEMES)
     def test_tables_engage_when_fractions_repeat(self, scheme, rng, monkeypatch):
         """At ratio 4 every axis has 4 distinct fractions, so a 64x64 ->
         256x256 resize, two bands of 128 rows, evaluates its geometry once,
-        on a 4x4 grid. No pixel is 0, so AT's fallback cannot fire."""
+        on the 4 distinct dy x all 256 columns. No pixel is 0, so AT's
+        fallback cannot fire."""
         img = GrayImage(rng.integers(1, 256, (64, 64)).astype(np.uint8))
-        assert position_grids(monkeypatch, img, 4.0, scheme) == [(4, 4)]
+        assert position_grids(monkeypatch, img, 4.0, scheme) == [(4, 256)]
 
-    @pytest.mark.parametrize("scheme", TABLED_SCHEMES)
+    @pytest.mark.parametrize("scheme", POSITION_SCHEMES)
     def test_no_table_when_fractions_are_distinct(self, scheme, rng, monkeypatch):
         """At 2.7*sqrt(2) no fraction repeats, so each band's geometry is
         evaluated on the band itself: 244 columns in bands of 134 and 110
@@ -330,9 +326,9 @@ class TestPositionTables:
 
     # A 12x10 image, bands of 400 pixels. At ratio 4 the output is 48x40 in
     # five 10-row bands, and its 4 distinct dy x 40 columns fit in one band:
-    # one evaluation (TB on all 40 columns, the others on 4 distinct dx). At
-    # 3.7 it is 44x37 in bands of 10, 10, 10, 10 and 4 rows, and its 37
-    # distinct dy do not fit: one evaluation per band, on the band's rows.
+    # one evaluation. At 3.7 it is 44x37 in bands of 10, 10, 10, 10 and 4
+    # rows, and its 37 distinct dy do not fit: one evaluation per band, on
+    # the band's rows.
     @pytest.mark.parametrize("scheme", POSITION_SCHEMES)
     @pytest.mark.parametrize("ratio", (4.0, 3.7), ids=("once-per-resize", "per-band"))
     def test_position_work_once_per_resize_when_it_fits(
@@ -342,7 +338,7 @@ class TestPositionTables:
         monkeypatch.setattr(interpolate, "_BAND_PIXELS", 400)
         grids = position_grids(monkeypatch, img, ratio, scheme)
         if ratio == 4.0:
-            assert grids == [(4, 40) if scheme == "TB" else (4, 4)]
+            assert grids == [(4, 40)]
         else:
             assert grids == [(10, 37)] * 4 + [(4, 37)]
         # position_grids undid every patch, the band size's too.
@@ -350,28 +346,25 @@ class TestPositionTables:
         out = resize(img, ratio, scheme)
         assert np.array_equal(out.pixels, reference_resize(img, ratio, scheme).pixels)
 
-    # (shape, ratio, MD's one position grid). Each output fits in one band,
-    # so ``md_weights`` gets all dx x the distinct dy. Fractions computed in
-    # float64 repeat only up to rounding: at ratio 3 an axis of 9, 24 and 30
-    # has 7, 9 and 11 distinct values, so 9 columns go direct and 24 and 30
-    # are tabled; the distinct dy are direct by construction; at 2.7*sqrt(2)
-    # every value is distinct.
+    # Fractions computed in float64 repeat only up to rounding: at ratio 3
+    # an axis of 9, 24 and 30 has 7, 9 and 11 distinct values, and at
+    # 2.7*sqrt(2) every value is distinct. Each id says which axes have
+    # mostly repeated fractions ("tabled") and which mostly distinct ones
+    # ("direct"); every output fits in one band, so ``resize`` tables all
+    # of them on all dx x the distinct dy.
     @pytest.mark.parametrize(
-        "shape,ratio,grid",
+        "shape,ratio",
         [
-            pytest.param((10, 8), 3.0, (11, 9), id="both-tabled"),
-            pytest.param((8, 6), IRRATIONAL_RATIO, (31, 23), id="both-direct"),
-            pytest.param((3, 10), 3.0, (7, 11), id="columns-tabled"),
-            pytest.param((10, 3), 3.0, (11, 9), id="rows-tabled"),
+            pytest.param((10, 8), 3.0, id="both-tabled"),
+            pytest.param((8, 6), IRRATIONAL_RATIO, id="both-direct"),
+            pytest.param((3, 10), 3.0, id="columns-tabled"),
+            pytest.param((10, 3), 3.0, id="rows-tabled"),
         ],
     )
-    def test_either_side_of_the_choice_matches_oracle(
-        self, shape, ratio, grid, rng, monkeypatch
-    ):
+    def test_either_side_of_the_choice_matches_oracle(self, shape, ratio, rng):
         pixels = rng.integers(0, 256, shape).astype(np.uint8)
         pixels[:2, :2] = 0
         img = GrayImage(pixels)
-        assert position_grids(monkeypatch, img, ratio, "MD") == [grid]
         for scheme in SCHEMES:
             for domain in INTENSITY_DOMAINS:
                 out = resize(img, ratio, scheme, domain)
@@ -473,7 +466,7 @@ class TestResizeDispatch:
             pytest.param("TC", "raw", (64, 96), 4, 12, id="TC-raw-x4"),
             pytest.param("TC", "raw", (512, 2048), 0.5, 8, id="TC-raw-x0.5"),
             pytest.param("TB", "raw", (2048, 2048), 0.1, 36, id="TB-raw-x0.1"),
-            pytest.param("TC", "raw", (2048, 2048), 0.1, 90, id="TC-raw-x0.1"),
+            pytest.param("TC", "raw", (2048, 2048), 0.1, 69, id="TC-raw-x0.1"),
         ],
     )
     def test_allocation_peak_per_output_pixel(self, scheme, domain, shape, ratio, bound):
@@ -484,10 +477,11 @@ class TestResizeDispatch:
         of 159 and 46 rows, so a float64 grid of a band is about 6.2 B/px.
         Each bound is the peak measured with numpy 2.4 (TB, MD, HR 14.6, AT
         raw and unit 18.3, AC raw and unit 16.0, TC 10.3 at ratio 4
-        and 6.4 at ratio 0.5; TB 34.2 and TC 88.7 at ratio 0.1) plus less
+        and 7.0 at ratio 0.5; TB 34.2 and TC 67.1 at ratio 0.1) plus less
         than 2 B/px, so one more float64 grid of a band fails it. The black
         corner runs AT's fallback, its largest path. TC's whole-image
-        horizontal pass took 50.7 B/px at ratio 0.5; AT's and AC's unit
+        horizontal pass took 50.7 B/px at ratio 0.5, and 88.7 at ratio 0.1
+        while it held a band's gathered source rows; AT's and AC's unit
         values on the four corner grids took 28.9 and 27.0 B/px, and AT unit
         20.7 B/px while it held two corners' values at once and its column
         grids of values through normalization; reading
@@ -532,7 +526,7 @@ class TestResizeDispatch:
     def test_rows_wider_than_a_band_are_cut_into_spans(self, scheme, domain, bound):
         """A 1x131072 image at ratio 1 is one output row of four bands'
         pixels. Cut into column spans of ``_BAND_PIXELS``, its peak per output
-        pixel is fixed: measured with numpy 2.4, TB 33.1, AT unit 31.2 and TC
+        pixel is fixed: measured with numpy 2.4, TB 33.1, AT unit 35.1 and TC
         45.3 B/px, most of it the plan and the table of one span. As one band,
         the row took 79.0, 104.0 and 113.0 B/px."""
         pixels = ((np.arange(131072) * 37) % 256).astype(np.uint8)

@@ -272,9 +272,8 @@ class TestInputsUntouched:
     @staticmethod
     def _band_inputs(rng, layout):
         """dx, dy and four uint8 and float64 value grids of a 6x40 band; dx
-        and dy as a row and a column (as ``resize`` passes them, where the
-        position tables engage) or as full grids. Zeros fill one corner
-        block, so AT's fallback runs too."""
+        and dy as a row and a column (as ``resize`` passes them) or as full
+        grids. Zeros fill one corner block, so AT's fallback runs too."""
         dx = np.round(rng.random((1, 40)), 1)
         dy = np.round(rng.random((6, 1)), 1)
         if layout == "grid":
