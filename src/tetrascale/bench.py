@@ -136,8 +136,7 @@ def time_algorithm(
     checked, outside the timed window, to be bit-identical to the warm-up
     output.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    repetitions = _integer_at_least(1, repetitions, "repetitions")
     reference = resize(image, ratio, scheme, intensity_domain)
     times = []
     for _ in range(repetitions):

@@ -62,14 +62,14 @@ def quantize_into(values: np.ndarray, out: np.ndarray) -> None:
     """Write ``values`` rounded half away from zero and clamped to [0, 255]
     into the uint8 array ``out``.
 
-    The rounding runs in place in ``values``, a float64 array of ``out``'s
-    shape, which is left holding the rounded values. floor(x + 0.5) is
-    round-half-away for x >= 0; for x < 0 both give a value <= 0, which the
-    clamp sends to 0.
+    ``values``, a float64 array of ``out``'s shape, is used as scratch: it
+    is clamped in place and left holding the clamped values plus 0.5. The
+    cast truncates, which for those values (all >= 0.5) is floor(x + 0.5),
+    round-half-away for x >= 0. A value below 0 is clamped to 0 first and
+    so gives 0, as floor(x + 0.5) clamped would.
     """
-    np.add(values, 0.5, out=values)
-    np.floor(values, out=values)
     np.clip(values, 0, 255, out=values)
+    np.add(values, 0.5, out=values)
     np.copyto(out, values, casting="unsafe")
 
 

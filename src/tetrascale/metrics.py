@@ -23,14 +23,31 @@ image's, so the map is bit for bit the one smooths of the whole image give.
 Squares and products are formed as uint16, which holds 255^2 exactly; the
 smoothing reads every line as doubles. MSE sums integer squares, exactly.
 
+The bands are scored by up to ``_WORKERS`` threads, one per CPU this
+process may run on, but at most one per two bands (``_threads``): the
+calling thread scores the first contiguous chunk of bands, and a pool of
+``_WORKERS - 1`` threads the others. scipy's smooths release the
+interpreter lock, so the chunks run in parallel. The calling thread
+allocates each chunk's band arrays and smoothing buffer before any chunk
+starts, each band writes only its own rows of the maps, and the mean is
+taken once every chunk has finished, so the scores have the same bits for
+any thread count. A score's working memory is therefore the SSIM map plus
+one band's four float64 arrays and smoothing buffer per thread; an image
+of at most three bands is scored in the calling thread alone.
+
 The smoothing is scipy's ``correlate1d``. scipy is imported by the first
-smooth, not by this module, so importing the package or resizing an image
-never loads it (it takes several times longer to import than numpy).
+smooth, and ``concurrent.futures`` and the pool by the first score that
+needs them, not by this module, so importing the package or resizing an
+image loads neither and starts no thread (scipy takes several times
+longer to import than numpy).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -98,6 +115,45 @@ _HALO = SSIM_WINDOW_SIZE // 2
 _BAND_PIXELS = 1 << 15
 _MIN_BAND_ROWS = 64
 
+#: Most threads that score one image: one per CPU this process may run on.
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+_pool_lock = threading.Lock()
+_executor = None
+
+
+def _threads(bands: int) -> int:
+    """Threads that score an image of ``bands`` bands: up to ``_WORKERS``,
+    but at most one per two bands, so that the band buffers each thread
+    holds stay a small share of a short image's."""
+    return max(1, min(_WORKERS, bands // 2))
+
+
+def _pool():
+    """The ``_WORKERS - 1`` threads that help the calling thread score,
+    started by the first score that needs them, never at import."""
+    global _executor
+    with _pool_lock:
+        if _executor is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _executor = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="tetrascale-ssim")
+    return _executor
+
+
+def _forget_pool() -> None:
+    """In a forked child, drop the parent's pool, whose threads the child
+    does not have (submitting to it would wait forever); the child's next
+    score starts its own."""
+    global _executor, _pool_lock
+    _executor, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
 
 def _smooth(slab: np.ndarray, offset: int, out: np.ndarray, buf: np.ndarray) -> None:
     """Smooth the rows of ``slab`` from ``offset`` on, as many as ``out``
@@ -144,9 +200,13 @@ class Scorer:
             self._bands.append((slice(top, top + rows), slab, top - slab.start))
         self._mu_x = np.empty((height, width))
         self._var_x = np.empty((height, width))
-        buf, (mu_xx,) = self._band_buffers(1)
-        for band, slab, offset in self._bands:
-            x = reference.pixels[slab]
+        self._each_chunk(self._smooth_reference, 1)
+
+    def _smooth_reference(self, bands, buf, arrays) -> None:
+        """The reference's local mean and variance on ``bands``."""
+        (mu_xx,) = arrays
+        for band, slab, offset in bands:
+            x = self.reference.pixels[slab]
             mu_x, var_x = self._mu_x[band], self._var_x[band]
             _smooth(x, offset, mu_x, buf)
             _smooth(np.square(x, dtype=np.uint16), offset, var_x, buf)
@@ -160,6 +220,38 @@ class Scorer:
         buf = np.empty((min(rows + 2 * _HALO, height), width), order="F")
         return buf, np.empty((count, rows, width))
 
+    def _each_chunk(self, work, count: int) -> None:
+        """Run ``work(bands, buf, arrays)`` on contiguous chunks of the
+        bands, one per thread that scores them (``_threads``): the first in
+        this thread, the others in the pool.
+
+        Every chunk's buffers, from ``_band_buffers(count)``, are allocated
+        here before any chunk starts. Returns once every chunk has finished,
+        then raises the first chunk's error, if any.
+        """
+        bands = self._bands
+        threads = _threads(len(bands))
+        chunks = [
+            bands[len(bands) * i // threads : len(bands) * (i + 1) // threads]
+            for i in range(threads)
+        ]
+        buffers = [self._band_buffers(count) for _ in chunks]
+        if threads == 1:
+            work(chunks[0], *buffers[0])
+            return
+        pool = _pool()
+        futures = [
+            pool.submit(work, chunk, *chunk_buffers)
+            for chunk, chunk_buffers in zip(chunks[1:], buffers[1:])
+        ]
+        try:
+            work(chunks[0], *buffers[0])
+        finally:
+            for future in futures:
+                future.exception()  # waits for the chunk
+        for future in futures:
+            future.result()
+
     def score(self, output: GrayImage) -> tuple[float, float, float]:
         """``(mse, psnr, ssim)`` of ``output`` against the reference."""
         _check_same_shape(self.reference, output)
@@ -167,7 +259,15 @@ class Scorer:
         return err, _psnr(err), float(np.mean(self._ssim_map(output)))
 
     def _ssim_map(self, output: GrayImage) -> np.ndarray:
-        """Local SSIM map of ``output``, which has the reference's size.
+        """Local SSIM map of ``output``, which has the reference's size."""
+        ssim_map = np.empty(output.pixels.shape)
+        self._each_chunk(
+            functools.partial(self._ssim_bands, output.pixels, ssim_map), 4
+        )
+        return ssim_map
+
+    def _ssim_bands(self, y_pixels, ssim_map, bands, buf, arrays) -> None:
+        """Write the local SSIM of ``y_pixels`` on ``bands`` into ``ssim_map``.
 
         Each band evaluates num / den with num = (2 mu_xy + C1)(2 cov_xy +
         C2) and den = (mu_xx + mu_yy + C1)(var_x + var_y + C2) in place,
@@ -176,10 +276,8 @@ class Scorer:
         mu_xx + C1 are not precomputed, because regrouping a sum does
         change bits.
         """
-        ssim_map = np.empty(output.pixels.shape)
-        buf, arrays = self._band_buffers(4)
-        for band, slab, offset in self._bands:
-            x, y = self.reference.pixels[slab], output.pixels[slab]
+        for band, slab, offset in bands:
+            x, y = self.reference.pixels[slab], y_pixels[slab]
             mu_x, var_x = self._mu_x[band], self._var_x[band]
             mu_y, var_y, cov, den = arrays[:, : len(mu_x)]
 
@@ -203,7 +301,6 @@ class Scorer:
             cov += _C2
             num *= cov
             np.divide(num, den, out=ssim_map[band])
-        return ssim_map
 
 
 def _ssim_map(a: GrayImage, b: GrayImage) -> np.ndarray:

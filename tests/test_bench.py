@@ -104,6 +104,22 @@ class TestTimeAlgorithm:
         with pytest.raises(ValueError):
             time_algorithm(random_image(4, 4), 2, "TB", repetitions=0)
 
+    @pytest.mark.parametrize("bad", (math.inf, math.nan, 2.5), ids=("inf", "nan", "2.5"))
+    def test_non_integer_repetitions_rejected_before_resizing(
+        self, bad, monkeypatch, random_image
+    ):
+        calls = []
+        monkeypatch.setattr(bench_mod, "resize", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="repetitions must be an integer >= 1"):
+            time_algorithm(random_image(4, 4), 2, "TB", repetitions=bad)
+        assert calls == []
+
+    def test_whole_float_repetitions_accepted(self, monkeypatch, random_image):
+        ticks = iter([0.0, 0.01, 0.1, 0.13, 0.2, 0.22])
+        monkeypatch.setattr(bench_mod.time, "perf_counter", lambda: next(ticks))
+        elapsed, _ = time_algorithm(random_image(4, 4), 2, "TN", repetitions=3.0)
+        assert elapsed == pytest.approx(0.02)
+
 
 class TestBenchConfig:
     def test_defaults(self, tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetrascale import FormatError, GrayImage, load_image, load_pgm, save_pgm, to_gray
+from tetrascale.image import quantize, quantize_into
 
 from conftest import gray
 from oracle import get_clamped
@@ -145,6 +146,29 @@ class TestToGray:
         products would round 67 of these 250000 pixels differently."""
         rgb = rng.integers(0, 256, (500, 500, 3))
         assert to_gray(rgb.astype(dtype), 500, 500) == to_gray(rgb.tolist(), 500, 500)
+
+
+class TestQuantize:
+    @staticmethod
+    def _add_floor_clip(values):
+        """The rounding rule as first written: floor(x + 0.5), clamped to
+        [0, 255], then cast."""
+        return np.clip(np.floor(values + 0.5), 0, 255).astype(np.uint8)
+
+    def test_matches_add_floor_clip(self):
+        halves = np.arange(-8, 520) / 2.0  # -4 to 259.5
+        ties = np.arange(0, 512) / 2.0  # 0 to 255.5
+        values = np.concatenate([
+            halves,
+            np.nextafter(ties, -np.inf),
+            np.nextafter(ties, np.inf),
+            [np.inf, -np.inf],
+            np.random.default_rng(16).uniform(-300, 600, 32768),
+        ])[np.newaxis]
+        out = np.empty(values.shape, dtype=np.uint8)
+        quantize_into(values.copy(), out)
+        np.testing.assert_array_equal(out, self._add_floor_clip(values))
+        assert quantize(values) == GrayImage(self._add_floor_clip(values))
 
 
 class TestGetClamped:

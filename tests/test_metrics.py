@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -212,6 +214,23 @@ PINNED_SCORES = {
 }
 
 
+@pytest.fixture
+def workers(monkeypatch):
+    """Sets how many threads may score one image (``metrics._WORKERS``),
+    with a pool of that size of its own, shut down after the test."""
+
+    def set_workers(count):
+        if metrics._executor is not None:
+            metrics._executor.shutdown()
+        monkeypatch.setattr(metrics, "_executor", None)
+        monkeypatch.setattr(metrics, "_WORKERS", count)
+
+    monkeypatch.setattr(metrics, "_executor", None)
+    yield set_workers
+    if metrics._executor is not None:
+        metrics._executor.shutdown()
+
+
 class TestScorer:
     """One scorer per reference: the reference is smoothed once, and every
     score equals the free functions' values exactly."""
@@ -247,11 +266,9 @@ class TestScorer:
         for name, reference, output in _pairs():
             assert Scorer(reference).score(output) == expected[name], name
 
-    def test_reference_smoothed_once(self, monkeypatch):
-        """The reference's two quantities are smoothed band by band at
-        construction only; each score smooths the output's three (its
-        pixels, their squares and their products with the reference's),
-        once per band."""
+    @staticmethod
+    def _count_smooths(monkeypatch):
+        """Record each ``_smooth`` call's slab dtype and shape."""
         calls = []
         original = metrics._smooth
 
@@ -260,6 +277,15 @@ class TestScorer:
             return original(slab, offset, out, buf)
 
         monkeypatch.setattr(metrics, "_smooth", counted)
+        return calls
+
+    def test_reference_smoothed_once(self, monkeypatch, workers):
+        """The reference's two quantities are smoothed band by band at
+        construction only; each score smooths the output's three (its
+        pixels, their squares and their products with the reference's),
+        once per band."""
+        workers(1)
+        calls = self._count_smooths(monkeypatch)
         # Bands of 20, 20 and 8 rows; with the 5 rows the window reaches on
         # each side inside the image, slabs of 25, 30 and 13 rows.
         monkeypatch.setattr(metrics, "_BAND_PIXELS", 0)
@@ -275,6 +301,95 @@ class TestScorer:
             scorer.score(output)
             assert calls == [(dtype, s) for s in slabs for dtype in (u8, u16, u16)]
 
+    def test_reference_smoothed_once_by_two_threads(self, monkeypatch, workers):
+        """Split over two threads, the scorer makes the same smooths as in
+        one; only their order across the threads is not defined."""
+        workers(2)
+        calls = self._count_smooths(monkeypatch)
+        # Bands of 10, 10, 10, 10 and 8 rows, in chunks of two and three.
+        monkeypatch.setattr(metrics, "_BAND_PIXELS", 0)
+        monkeypatch.setattr(metrics, "_MIN_BAND_ROWS", 10)
+        reference = _scene(48, 40)
+        slabs = [(15, 40), (20, 40), (20, 40), (20, 40), (13, 40)]
+        scorer = Scorer(reference)
+        u8, u16 = np.dtype(np.uint8), np.dtype(np.uint16)
+        key = lambda call: (call[0].str, call[1])
+        assert sorted(calls, key=key) == sorted(
+            [(dtype, s) for s in slabs for dtype in (u8, u16)], key=key
+        )
+        del calls[:]
+        scorer.score(resize(downsample(reference, 4), 4, "TB"))
+        assert sorted(calls, key=key) == sorted(
+            [(dtype, s) for s in slabs for dtype in (u8, u16, u16)], key=key
+        )
+        assert metrics._executor is not None
+
+    @pytest.mark.parametrize("count", (1, 2, 3, 16))
+    def test_scores_pinned_for_any_thread_count(self, count, monkeypatch, workers):
+        """Bands of 4 rows, which cut every image unevenly or into many
+        bands (37 and 129 rows end in a band of one row), scored by up to
+        ``count`` threads: every value keeps its bits."""
+        workers(count)
+        monkeypatch.setattr(metrics, "_BAND_PIXELS", 0)
+        monkeypatch.setattr(metrics, "_MIN_BAND_ROWS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch as often as they can
+        try:
+            for name, reference, output in (*_pairs(), *_seam_pairs()):
+                pinned = PINNED_SCORES[name]
+                score = Scorer(reference).score(output)
+                assert tuple(float.hex(v) for v in score) == pinned, name
+                assert float.hex(ssim(reference, output)) == pinned[2], name
+        finally:
+            sys.setswitchinterval(interval)
+        # One thread never starts the pool.
+        assert (metrics._executor is None) == (count == 1)
+
+    def test_error_in_a_pool_thread_propagates(self, monkeypatch, workers):
+        """An error in a chunk that a pool thread scores is raised by
+        ``score``, and the scorer and the pool still score correctly."""
+        workers(2)
+        monkeypatch.setattr(metrics, "_BAND_PIXELS", 0)
+        monkeypatch.setattr(metrics, "_MIN_BAND_ROWS", 4)
+        _, reference, output = next(p for p in _pairs() if p[0] == "scene-TB")
+        scorer = Scorer(reference)
+        original = metrics._smooth
+
+        def failing(slab, offset, out, buf):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("smooth failed")
+            return original(slab, offset, out, buf)
+
+        monkeypatch.setattr(metrics, "_smooth", failing)
+        with pytest.raises(RuntimeError, match="smooth failed"):
+            scorer.score(output)
+        monkeypatch.setattr(metrics, "_smooth", original)
+        score = scorer.score(output)
+        assert tuple(float.hex(v) for v in score) == PINNED_SCORES["scene-TB"]
+
+    def test_first_chunk_error_waits_for_the_others(self, monkeypatch, workers):
+        """An error in the calling thread's chunk is raised only after the
+        pool thread has finished every band of its own chunk."""
+        workers(2)
+        monkeypatch.setattr(metrics, "_BAND_PIXELS", 0)
+        monkeypatch.setattr(metrics, "_MIN_BAND_ROWS", 4)
+        _, reference, output = next(p for p in _pairs() if p[0] == "scene-TB")
+        scorer = Scorer(reference)  # 16 bands, 8 per thread
+        original = metrics._smooth
+        pool_smooths = []
+
+        def failing(slab, offset, out, buf):
+            if threading.current_thread() is threading.main_thread():
+                raise RuntimeError("smooth failed")
+            time.sleep(0.001)
+            original(slab, offset, out, buf)
+            pool_smooths.append(slab.shape)
+
+        monkeypatch.setattr(metrics, "_smooth", failing)
+        with pytest.raises(RuntimeError, match="smooth failed"):
+            scorer.score(output)
+        assert len(pool_smooths) == 3 * 8
+
     def test_dimension_mismatch(self):
         scorer = Scorer(constant_image(16, 16, 0))
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -285,16 +400,18 @@ class TestScorer:
             Scorer(constant_image(8, 40, 0))
 
     @staticmethod
-    def _allocation_peak_per_pixel(prepare):
+    def _allocation_peak_per_pixel(prepare, shape=(512, 512)):
         """Peak bytes allocated, per pixel, by the call that ``prepare(a, b)``
-        returns for one 512x512 pair; ``prepare`` itself is not counted."""
+        returns for one pair of ``shape``; ``prepare`` itself is not
+        counted."""
         rng = np.random.default_rng(9)
         a, b = (
-            GrayImage(rng.integers(0, 256, (512, 512)).astype(np.uint8))
+            GrayImage(rng.integers(0, 256, shape).astype(np.uint8))
             for _ in range(2)
         )
-        # The first score in a process imports scipy, which is not the
-        # per-pixel work bounded here.
+        # The first score in a process imports scipy, and the first that
+        # needs the pool starts it; neither is the per-pixel work bounded
+        # here.
         ssim(a, b)
         run = prepare(a, b)
         tracemalloc.start()
@@ -307,32 +424,64 @@ class TestScorer:
             tracemalloc.stop()
         return peak / a.pixels.size
 
-    def test_ssim_allocation_peak_per_pixel(self):
-        """Measured 29.6 B/px with numpy 2.4 and scipy 1.17: the scorer's
-        two float64 maps, the SSIM map, and one band's four float64 arrays
-        and smoothing buffer (about 5 B/px at 512 wide). The bound adds
-        6.4 B/px, so one more float64 map (8 B/px) fails it. Whole-image
-        smooths took 50.0 B/px, and holding all five smooths and their
-        products at once 88 B/px."""
-        peak = self._allocation_peak_per_pixel(lambda a, b: lambda: ssim(a, b))
-        assert peak < 36
+    _SSIM = staticmethod(lambda a, b: lambda: ssim(a, b))
+    _SCORE = staticmethod(lambda a, b: functools.partial(Scorer(a).score, b))
 
-    def test_score_allocation_peak_per_pixel(self):
-        """Measured 13.6 B/px with numpy 2.4 and scipy 1.17 for one score
-        against a built scorer: the SSIM map and one band's arrays and
-        buffer. The bound adds 5.4 B/px, so one more float64 map fails it.
-        Whole-image smooths took 34.0 B/px."""
-        peak = self._allocation_peak_per_pixel(
-            lambda a, b: functools.partial(Scorer(a).score, b)
-        )
-        assert peak < 19
+    def test_ssim_allocation_peak_per_pixel(self, workers):
+        """Measured 29.6 B/px in one thread with numpy 2.4 and scipy 1.17:
+        the scorer's two float64 maps, the SSIM map, and one band's four
+        float64 arrays and smoothing buffer (about 5 B/px at 512 wide). The
+        bound adds 6.4 B/px, so one more float64 map (8 B/px) fails it.
+        Whole-image smooths took 50.0 B/px, and holding all five smooths
+        and their products at once 88 B/px."""
+        workers(1)
+        assert self._allocation_peak_per_pixel(self._SSIM) < 36
+
+    def test_score_allocation_peak_per_pixel(self, workers):
+        """Measured 13.6 B/px in one thread with numpy 2.4 and scipy 1.17
+        for one score against a built scorer: the SSIM map and one band's
+        arrays and buffer. The bound adds 5.4 B/px, so one more float64 map
+        fails it. Whole-image smooths took 34.0 B/px."""
+        workers(1)
+        assert self._allocation_peak_per_pixel(self._SCORE) < 19
+
+    def test_two_threads_add_one_band_of_buffers(self, workers):
+        """Two threads hold one band's arrays and smoothing buffer each:
+        measured 19.0 B/px for a score and 35.1 for ``ssim`` (about 5 B/px
+        more than one thread, at 512 wide). Each bound is below the
+        measured figure plus one float64 map (8 B/px)."""
+        workers(2)
+        assert self._allocation_peak_per_pixel(self._SCORE) < 26
+        assert self._allocation_peak_per_pixel(self._SSIM) < 42
+
+    @pytest.mark.parametrize("shape", ((91, 4000), (11, 33000)), ids=("4000x91", "33000x11"))
+    def test_short_wide_images_take_no_more_in_two_threads(self, shape, workers):
+        """An image of at most three bands is scored in the calling thread,
+        so a second usable CPU adds nothing to its peak (one thread:
+        38.6 B/px for a score and 54.6 for ``ssim`` at 4000x91, 50.1 and
+        66.1 at 33000x11)."""
+        workers(1)
+        single = [
+            self._allocation_peak_per_pixel(prepare, shape)
+            for prepare in (self._SCORE, self._SSIM)
+        ]
+        workers(2)
+        double = [
+            self._allocation_peak_per_pixel(prepare, shape)
+            for prepare in (self._SCORE, self._SSIM)
+        ]
+        assert all(d <= s for d, s in zip(double, single)), (double, single)
+        assert metrics._executor is None
 
 
 #: Run in a fresh interpreter: resizing, through the package and the
-#: ``resize`` command, loads no scipy module; the first score does, and its
-#: values are the free functions'.
+#: ``resize`` command, loads no scipy module and no ``concurrent.futures``,
+#: and starts no thread; the first score loads scipy, and its values are the
+#: free functions'. An image of at most three bands is scored in the calling
+#: thread, with no pool (scipy itself imports ``concurrent.futures``).
 _LAZY_SCIPY = """
 import sys
+import threading
 import numpy as np
 import tetrascale, tetrascale.cli
 from tetrascale import GrayImage, mse, psnr, resize, save_pgm, ssim
@@ -341,26 +490,70 @@ from tetrascale.metrics import Scorer
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
+def assert_one_thread():
+    assert "concurrent.futures" not in sys.modules
+    assert threading.active_count() == 1, threading.enumerate()
+
 img = GrayImage((np.arange(24 * 32) % 251).reshape(24, 32).astype(np.uint8))
 save_pgm(img, "in.pgm")
+assert_one_thread()
 reference = resize(img, 2.0, "AC", "unit")
 assert tetrascale.cli.main(
     ["resize", "in.pgm", "out.pgm", "--ratio", "2", "--scheme", "AT"]
 ) == 0
 assert not scipy_modules(), scipy_modules()
+assert_one_thread()
 output = resize(img, 2.0, "TB")
 score = Scorer(reference).score(output)
 assert score == (mse(reference, output), psnr(reference, output), ssim(reference, output))
 assert "scipy.ndimage" in scipy_modules()
+assert tetrascale.metrics._executor is None
+assert threading.active_count() == 1, threading.enumerate()
 """
 
 
-def test_scipy_loads_only_when_scoring(tmp_path):
+def _run_script(script, cwd, timeout=None):
+    """Run ``script`` in a fresh interpreter that imports this package."""
     package_root = str(Path(tetrascale.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _LAZY_SCIPY],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, cwd=cwd, env=env, timeout=timeout,
     )
+
+
+def test_scipy_loads_only_when_scoring(tmp_path):
+    proc = _run_script(_LAZY_SCIPY, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+#: Run in a fresh interpreter: a child forked after the parent's pool has
+#: started scores with a pool of its own. The parent's pool threads do not
+#: exist in the child, so handing them work there would wait forever; the
+#: alarm ends a child that hangs.
+_SCORE_AFTER_FORK = """
+import os, signal
+import numpy as np
+from tetrascale import GrayImage, metrics
+
+metrics._WORKERS = 2
+rng = np.random.default_rng(3)
+a, b = (GrayImage(rng.integers(0, 256, (512, 512)).astype(np.uint8)) for _ in range(2))
+scorer = metrics.Scorer(a)
+expected = scorer.score(b)
+assert metrics._executor is not None
+pid = os.fork()
+if pid == 0:
+    signal.alarm(10)
+    os._exit(0 if scorer.score(b) == expected else 1)
+_, status = os.waitpid(pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0, status
+assert scorer.score(b) == expected
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_scores_with_its_own_pool(tmp_path):
+    proc = _run_script(_SCORE_AFTER_FORK, tmp_path, timeout=60)
     assert proc.returncode == 0, proc.stderr
