@@ -3,71 +3,40 @@
 Tags: TN (nearest), TB (bilinear/tetragon), TC (bicubic), and the four
 normalized geometric schemes MD, HR, AT, AC. AT and AC additionally take an
 intensity domain: ``raw`` feeds corner values in [0, 255] into the weight
-geometry, ``unit`` divides them by 255 first.
+geometry, ``unit`` divides them by 255 first. ``_WEIGHTS`` maps every tag to
+how its 2x2 corner weights are computed (``None`` for TN and TC, which have
+their own paths); ``SCHEMES`` is its key order. ``resize`` is the one entry
+point.
 
-One table, ``_WEIGHTS``, maps every tag to how its 2x2 corner weights are
-computed (``None`` for TN and TC, which have their own paths); ``SCHEMES`` is
-its key order. ``resize`` is the one entry point: it checks the ratio, the
-tag and the intensity domain, then takes the nearest, bicubic or weighted
-path.
+Coordinates are pixel-centered: src = (dst + 0.5) / scale - 0.5. Boundaries
+replicate the edge pixel. Each output pixel is quantized once by the rule in
+``image``, rounding half away from zero and clamping to [0, 255]. An output
+of more than ``MAX_OUTPUT_PIXELS`` pixels is refused before anything is
+allocated.
 
-Coordinate convention is pixel-centered: src = (dst + 0.5) / scale - 0.5.
-Boundaries replicate the edge pixel. Each output pixel is quantized once by
-the rule in ``image``, rounding half away from zero and clamping to
-[0, 255]. An output of more than ``MAX_OUTPUT_PIXELS`` pixels is refused
-before anything is allocated.
+``_axis_taps`` samples each axis: the clamped source index at each offset
+from an anchor, and the fraction src - anchor. TN gathers its columns, then
+its rows. Every other scheme runs one band loop: the output is split into
+blocks of at most ``_BAND_PIXELS`` rows and columns, and each block into
+bands of about ``_BAND_PIXELS`` pixels, so no band grows with the output.
+``_plan`` does a block's position-only work once: the taps and fractions
+(TC: the cubic coefficients) and, when all dx x the distinct dy fit in one
+band, a table of the scheme's position-only arrays (TB's, MD's and HR's
+weights, AT's half-hypotenuses); otherwise each band evaluates them itself.
 
-Sampling is per axis for all seven schemes: ``_axis_taps`` maps each output
-coordinate to src and gives the clamped source index at each offset from an
-anchor, plus the fraction src - anchor. The anchor is floor(src) for the 2x2
-schemes (offsets 0, 1) and TC (offsets -1..2), and floor(src + 0.5) for TN
-(offset 0), which rounds as the quantizer does. Indices are clamped while
-still floats, so a coordinate far past the edge (a tiny ratio) cannot
-overflow the integer cast. The 2x2 path and TC's horizontal pass multiply
-float64 weights or coefficients by uint8 samples, which promotes them
-exactly; no float64 copy of the source or of a corner grid is made.
+A band reads only the source rows its taps reach (``_band_source``). The
+2x2 path (``_weighted_field``) gathers the left and right source columns,
+evaluates AT's and AC's value-only terms on them once per source row, then
+gathers the four uint8 corner grids and their rows of the terms, and sums
+((w1*p1 + w2*p2) + w3*p3) + w4*p4 in the weight buffers. TC
+(``_bicubic_field``) runs its horizontal pass, then its vertical pass, each
+summing its four taps in tap order. Each field is rounded straight into its
+block of the output.
 
-One band loop serves TB, TC, MD, HR, AT and AC. ``resize`` allocates the
-uint8 output once and splits it into blocks of at most ``_BAND_PIXELS`` rows
-and columns: one block unless a side of the output is longer than that. For
-each block ``_plan`` does the position-only work once: the taps and
-fractions of every row and column (TC: the cubic coefficients of both axes)
-and, when all dx x the block's distinct dy hold at most ``_BAND_PIXELS``
-pixels, one band's worth, the scheme's position-only arrays (TB's, MD's and
-HR's weights, AT's half-hypotenuses) on that table, through the scheme's
-own ``weights`` function; otherwise each band evaluates them on its own
-rows. That is the one place position-only work is tabled: the ``weights``
-functions are elementwise and evaluate exactly what they are given. A band
-is ``_BAND_PIXELS`` output pixels rounded down to whole rows of its block,
-at least one row, so a row wider than ``_BAND_PIXELS`` is cut into column
-spans (the blocks) and no band grows with the output's shape.
-
-Each band reads only the source rows its taps reach: the slice between its
-first and last tap, or, when the taps number fewer than the rows of that
-slice (a strong downscale), those rows alone, gathered in order with the
-taps renumbered (``_band_source``). The 2x2 path (``_weighted_field``)
-gathers the left and right columns from them, a grid of source rows x band
-columns each, and the four uint8 corner grids from those. AT's and AC's
-value-only terms are evaluated on the two column grids, before the corners
-gather their rows of them: the unit-domain values v / 255, and AC's partial
-area v*v + a*a (a = 1 - dx on the left, dx on the right). At an upscale by
-r those grids have about 1/r of the band's rows, and with only the rows the
-taps reach, never more than two per band row. The path takes its rows of
-the table with one ``np.take`` per corner (or evaluates its own), gets the
-four weights from them, the corners and the terms, and sums them in the
-oracle's order ((w1*p1 + w2*p2) + w3*p3) + w4*p4 in the weight buffers. TC
-(``_bicubic_field``) gathers its four column taps from the source rows and
-lets the rows go before its horizontal pass, then runs its vertical pass,
-each pass summing its four taps in tap order. Either field is a
-fresh float64 array, rounded in place and cast straight into its block of
-the output (``image.quantize_into``). TN is not banded: it gathers its
-columns, then its rows, with one ``np.take`` each. Every pixel's arithmetic
-is the same whatever the block, the band, the table or the grid a term is
-evaluated on, so none of them changes an output bit.
-
-``tests/oracle.py`` defines the semantics one pixel at a time, in plain
-Python; ``resize`` evaluates the same formulas over whole bands with numpy
-and must match it bit for bit.
+Every pixel's arithmetic is the same whatever the block, the band, the table
+or the grid a term is evaluated on. ``tests/oracle.py`` restates the formulas
+one pixel at a time in plain Python, and ``resize`` must match it bit for
+bit.
 """
 
 from __future__ import annotations
@@ -134,9 +103,7 @@ _WEIGHTS = {
     "AC": _Weights(
         None,
         lambda dx, l, r, d: _w.ac_partial_areas(dx, *domain_values((l, r), d)),
-        # The partial areas are gathered before the call, so their column
-        # grids are freed before the areas are normalized.
-        lambda dx, dy, g, p, t: _w.ac_weights(dx, dy, p, tuple(t)),
+        lambda dx, dy, g, p, t: _w.ac_weights(dx, dy, t),
     ),
 }
 

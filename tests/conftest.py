@@ -3,6 +3,12 @@ import pytest
 
 from tetrascale import GrayImage
 from tetrascale import interpolate
+from tetrascale.weights import (
+    ac_partial_areas,
+    ac_weights,
+    at_half_hypotenuses,
+    at_weights,
+)
 
 
 @pytest.fixture
@@ -36,3 +42,26 @@ def whole_field(img, ratio, scheme, domain="raw"):
     plan = interpolate._plan(img, ratio, scheme, domain, range(h), range(w))
     field = interpolate._bicubic_field if scheme == "TC" else interpolate._weighted_field
     return field(plan, slice(None))
+
+
+def point(*xs):
+    """One shape-(1,) float64 array per scalar: a single point or intensity
+    as the ``weights`` functions take it."""
+    return tuple(np.array([x], dtype=np.float64) for x in xs)
+
+
+def at_weights_of(dx, dy, values):
+    """AT's weights, with the half-hypotenuses built from (dx, dy)."""
+    return at_weights(dx, dy, values, at_half_hypotenuses(dx, dy))
+
+
+def ac_partial_areas_of(dx, values):
+    """AC's four partial areas for the corner intensities ``values`` (P1 and
+    P3 are left corners, P2 and P4 right ones)."""
+    v1, v2, v3, v4 = values
+    return (*ac_partial_areas(dx, v1, v2), *ac_partial_areas(dx, v3, v4))
+
+
+def ac_weights_of(dx, dy, values):
+    """AC's weights, with the partial areas built from dx and ``values``."""
+    return ac_weights(dx, dy, ac_partial_areas_of(dx, values))

@@ -1,10 +1,13 @@
 """Per-pixel reference for ``tetrascale.resize``.
 
-Each output pixel is computed on its own, in plain Python, straight from the
-paper's definitions: the 2x2 neighborhood around a continuous source
-coordinate, its weight vector, and one quantization. ``resize`` evaluates
-the same formulas over whole grids with numpy and must reproduce this byte
-for byte.
+Each output pixel is computed on its own, in plain Python floats, straight
+from the paper's definitions: the 2x2 neighborhood around a continuous
+source coordinate, its weight vector, and one quantization. The weighting
+schemes are restated here (``pixel_weights``) rather than taken from
+``tetrascale.weights``, so a wrong formula there shows as a mismatch.
+``resize`` evaluates the same formulas over whole grids with numpy and must
+reproduce this byte for byte: every step is one correctly rounded ``+ - * /``
+or ``sqrt``, taken in numpy's order (``x * x``, never ``x ** 2``).
 """
 
 import math
@@ -13,13 +16,10 @@ from typing import NamedTuple
 import numpy as np
 
 from tetrascale import GrayImage
-from tetrascale import weights as w
-from tetrascale.interpolate import (
-    _output_length,
-    cubic_kernel,
-    domain_values,
-    map_dst_to_src,
-)
+from tetrascale.interpolate import _output_length, cubic_kernel, map_dst_to_src
+
+#: Weight sums below this are degenerate: the tetragon weights are used.
+EPSILON = 1e-12
 
 
 def get_clamped(image: GrayImage, col: int, row: int) -> int:
@@ -70,11 +70,57 @@ def interpolate_pixel(neighborhood: Neighborhood, weight_vector) -> int:
     return int(min(max(round_half_away(acc), 0.0), 255.0))
 
 
+def pixel_weights(scheme, dx, dy, values=None):
+    """The four weights P1..P4 of a 2x2 scheme at offset (dx, dy), for
+    corner intensities ``values`` already in their domain (AT and AC only).
+
+    Each corner's weight comes from the tetragon opposite it, with sides
+    a (horizontal) and b (vertical): TB a*b; MD the circle on the shorter
+    side as diameter; HR the circle with the hypotenuse as radius; AT the
+    triangle with the hypotenuse as base and the intensity v as height; AC
+    the circle with radius sqrt(v^2 + a^2 + b^2). The areas are normalized
+    by ((r1 + r2) + r3) + r4, or replaced by TB's when that sum is below
+    ``EPSILON``.
+    """
+    sides = (
+        (1.0 - dx, 1.0 - dy),
+        (dx, 1.0 - dy),
+        (1.0 - dx, dy),
+        (dx, dy),
+    )
+    tetragon = tuple(a * b for a, b in sides)
+    if scheme == "TB":
+        return tetragon
+    if scheme == "MD":
+        areas = [min(a, b) * min(a, b) * (math.pi / 4.0) for a, b in sides]
+    elif scheme == "HR":
+        areas = [(a * a + b * b) * math.pi for a, b in sides]
+    elif scheme == "AT":
+        areas = [
+            math.sqrt(a * a + b * b) * 0.5 * float(v)
+            for (a, b), v in zip(sides, values)
+        ]
+    elif scheme == "AC":
+        areas = [
+            ((float(v) * float(v) + a * a) + b * b) * math.pi
+            for (a, b), v in zip(sides, values)
+        ]
+    else:
+        raise ValueError(f"not a 2x2 weighting scheme: {scheme!r}")
+    r1, r2, r3, r4 = areas
+    total = ((r1 + r2) + r3) + r4
+    if total < EPSILON:
+        return tetragon
+    return tuple(r / total for r in areas)
+
+
 def reference_resize(image, ratio, scheme, intensity_domain="raw"):
     """Straightforward per-pixel loop built from the scalar operations.
 
     The vectorized resize must reproduce this byte for byte.
     """
+    if intensity_domain not in ("raw", "unit"):
+        raise ValueError(f"unknown intensity domain {intensity_domain!r}")
     out_w = _output_length(image.width, ratio)
     out_h = _output_length(image.height, ratio)
     out = np.empty((out_h, out_w), dtype=np.uint8)
@@ -91,16 +137,10 @@ def reference_resize(image, ratio, scheme, intensity_domain="raw"):
                 out[y, x] = _reference_bicubic_pixel(image, sx, sy)
                 continue
             n = gather_neighborhood(image, sx, sy)
-            if scheme == "TB":
-                wv = w.tetragon_weights(n.dx, n.dy)
-            elif scheme == "MD":
-                wv = w.md_weights(n.dx, n.dy)
-            elif scheme == "HR":
-                wv = w.hr_weights(n.dx, n.dy)
-            elif scheme == "AT":
-                wv = w.at_weights(n.dx, n.dy, domain_values(n.values, intensity_domain))
-            elif scheme == "AC":
-                wv = w.ac_weights(n.dx, n.dy, domain_values(n.values, intensity_domain))
+            values = n.values
+            if intensity_domain == "unit":
+                values = tuple(v / 255.0 for v in values)
+            wv = pixel_weights(scheme, n.dx, n.dy, values)
             out[y, x] = interpolate_pixel(n, wv)
     return GrayImage(out)
 

@@ -26,15 +26,16 @@ from tetrascale import (
 from tetrascale.bench import write_aggregates_csv, write_records_csv
 from tetrascale.interpolate import SCHEMES
 from tetrascale.report import expected_ordering_checks
-from tetrascale.weights import (
-    ac_weights,
-    at_weights,
-    hr_weights,
-    md_weights,
-    tetragon_weights,
-)
+from tetrascale.weights import hr_weights, md_weights, tetragon_weights
 
-from conftest import constant_image, gray, whole_field
+from conftest import (
+    ac_weights_of,
+    at_weights_of,
+    constant_image,
+    gray,
+    point,
+    whole_field,
+)
 
 
 def _report(number, name):
@@ -58,19 +59,19 @@ def test_c1_weight_invariants():
         tetragon_weights(dx, dy),
         md_weights(dx, dy),
         hr_weights(dx, dy),
-        at_weights(dx, dy, v),
-        ac_weights(dx, dy, v),
-        at_weights(dx, dy, v_unit),
-        ac_weights(dx, dy, v_unit),
+        at_weights_of(dx, dy, v),
+        ac_weights_of(dx, dy, v),
+        at_weights_of(dx, dy, v_unit),
+        ac_weights_of(dx, dy, v_unit),
     ]
     for wv in candidates:
         assert all(np.min(wi) >= 0.0 for wi in wv)
         total = wv[0] + wv[1] + wv[2] + wv[3]
         assert np.max(np.abs(total - 1.0)) <= 1e-12
 
-    base = at_weights(dx, dy, v)
+    base = at_weights_of(dx, dy, v)
     for k in (1e-6, 0.5, 3.0, 1e6):
-        scaled = at_weights(dx, dy, tuple(vi * k for vi in v))
+        scaled = at_weights_of(dx, dy, tuple(vi * k for vi in v))
         for wb, ws in zip(base, scaled):
             assert np.max(np.abs(wb - ws)) <= 1e-12
     _report(1, "weight invariants")
@@ -82,11 +83,11 @@ def test_c1_weight_invariants():
 
 def test_c2_closed_form_spot_checks():
     cases = [
-        (md_weights(0.25, 0.5), (0.4, 0.1, 0.4, 0.1)),
-        (hr_weights(0.0, 0.0), (0.5, 0.25, 0.25, 0.0)),
-        (hr_weights(0.25, 0.5), (13 / 36, 5 / 36, 13 / 36, 5 / 36)),
+        (md_weights(*point(0.25, 0.5)), (0.4, 0.1, 0.4, 0.1)),
+        (hr_weights(*point(0.0, 0.0)), (0.5, 0.25, 0.25, 0.0)),
+        (hr_weights(*point(0.25, 0.5)), (13 / 36, 5 / 36, 13 / 36, 5 / 36)),
         (
-            at_weights(0.5, 0.5, (10.0, 20.0, 30.0, 40.0)),
+            at_weights_of(*point(0.5, 0.5), point(10.0, 20.0, 30.0, 40.0)),
             (0.1, 0.2, 0.3, 0.4),
         ),
     ]

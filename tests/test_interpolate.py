@@ -1,9 +1,14 @@
+import ast
 import hashlib
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tetrascale import GrayImage, interpolate, resize
 from tetrascale.interpolate import (
@@ -17,6 +22,7 @@ from tetrascale.image import quantize as _quantize
 from tetrascale import weights as w
 
 from conftest import constant_image, gray, whole_field
+import oracle
 from oracle import (
     Neighborhood,
     gather_neighborhood,
@@ -602,3 +608,58 @@ class TestResizeDispatch:
         resize(img, 2.0, scheme)
         expected = [WEIGHT_FUNCTIONS[scheme]] if scheme in WEIGHT_FUNCTIONS else []
         assert calls == expected
+
+
+#: Ratios the property test below always has among its draws: powers of two,
+#: ratios whose .5 ties flip when a summation order changes, one at which no
+#: fraction repeats, strong downscales and 7.3, whose taps skip source rows.
+PROPERTY_RATIOS = (4.0, 3.0, 3.7, IRRATIONAL_RATIO, 0.5, 0.3, 1.0, 5 / 3, 7.3)
+
+
+class TestOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pixels=arrays(np.uint8, st.tuples(st.integers(1, 9), st.integers(1, 9))),
+        ratio=st.one_of(st.sampled_from(PROPERTY_RATIOS), st.floats(0.05, 6.0)),
+        scheme=st.sampled_from(SCHEMES),
+        domain=st.sampled_from(INTENSITY_DOMAINS),
+        zero_block=st.booleans(),
+        band_pixels=st.sampled_from((1, 2, 3, 5, 7, 16, 1 << 15)),
+    )
+    def test_resize_matches_oracle_on_any_input(
+        self, pixels, ratio, scheme, domain, zero_block, band_pixels
+    ):
+        """Any small image, ratio, scheme and domain, with or without a 3x3
+        black block (AT's all-zero fallback), cut into bands, spans and
+        blocks of any size: ``resize`` reproduces the oracle bit for bit."""
+        if zero_block:
+            pixels[:3, :3] = 0
+        img = GrayImage(pixels)
+        original = interpolate._BAND_PIXELS
+        interpolate._BAND_PIXELS = band_pixels
+        try:
+            out = resize(img, ratio, scheme, domain)
+        finally:
+            interpolate._BAND_PIXELS = original
+        ref = reference_resize(img, ratio, scheme, domain)
+        assert np.array_equal(out.pixels, ref.pixels)
+
+    def test_oracle_restates_the_weights(self):
+        """``oracle.py`` has its own copy of the weighting formulas and of
+        the intensity domain: it imports neither ``tetrascale.weights`` nor
+        ``domain_values``, so a wrong formula cannot hide by being shared."""
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported += [f"{node.module}.{alias.name}" for alias in node.names]
+        assert "tetrascale.interpolate.cubic_kernel" in imported
+        shared = [
+            name
+            for name in imported
+            if name.startswith("tetrascale.weights")
+            or name.rsplit(".", 1)[-1] in ("weights", "_w", "domain_values")
+        ]
+        assert shared == []
