@@ -25,21 +25,20 @@ smoothing reads every line as doubles. MSE sums integer squares, exactly.
 
 The bands are scored by up to ``_WORKERS`` threads, one per CPU this
 process may run on, but at most one per two bands (``_threads``): the
-calling thread scores the first contiguous chunk of bands, and a pool of
-``_WORKERS - 1`` threads the others. scipy's smooths release the
-interpreter lock, so the chunks run in parallel. The calling thread
-allocates each chunk's band arrays and smoothing buffer before any chunk
-starts, each band writes only its own rows of the maps, and the mean is
-taken once every chunk has finished, so the scores have the same bits for
-any thread count. A score's working memory is therefore the SSIM map plus
-one band's four float64 arrays and smoothing buffer per thread; an image
-of at most three bands is scored in the calling thread alone.
+calling thread scores the first contiguous chunk of bands, and each other
+chunk a helper thread that the score starts and joins before it returns,
+so no thread outlives the score. scipy's smooths release the interpreter
+lock, so the chunks run in parallel. The calling thread allocates each
+chunk's band arrays and smoothing buffer before any chunk starts, each
+band writes only its own rows of the maps, and the mean is taken once
+every chunk has finished, so the scores have the same bits for any thread
+count. A score's working memory is therefore the SSIM map plus one band's
+four float64 arrays and smoothing buffer per thread; an image of at most
+three bands is scored in the calling thread alone.
 
 The smoothing is scipy's ``correlate1d``. scipy is imported by the first
-smooth, and ``concurrent.futures`` and the pool by the first score that
-needs them, not by this module, so importing the package or resizing an
-image loads neither and starts no thread (scipy takes several times
-longer to import than numpy).
+smooth, not by this module, so importing the package or resizing an image
+does not load it (scipy takes several times longer to import than numpy).
 """
 
 from __future__ import annotations
@@ -120,39 +119,12 @@ _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
 
-_pool_lock = threading.Lock()
-_executor = None
-
 
 def _threads(bands: int) -> int:
     """Threads that score an image of ``bands`` bands: up to ``_WORKERS``,
     but at most one per two bands, so that the band buffers each thread
     holds stay a small share of a short image's."""
     return max(1, min(_WORKERS, bands // 2))
-
-
-def _pool():
-    """The ``_WORKERS - 1`` threads that help the calling thread score,
-    started by the first score that needs them, never at import."""
-    global _executor
-    with _pool_lock:
-        if _executor is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _executor = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="tetrascale-ssim")
-    return _executor
-
-
-def _forget_pool() -> None:
-    """In a forked child, drop the parent's pool, whose threads the child
-    does not have (submitting to it would wait forever); the child's next
-    score starts its own."""
-    global _executor, _pool_lock
-    _executor, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _smooth(slab: np.ndarray, offset: int, out: np.ndarray, buf: np.ndarray) -> None:
@@ -223,11 +195,12 @@ class Scorer:
     def _each_chunk(self, work, count: int) -> None:
         """Run ``work(bands, buf, arrays)`` on contiguous chunks of the
         bands, one per thread that scores them (``_threads``): the first in
-        this thread, the others in the pool.
+        this thread, each other in a helper thread started here.
 
         Every chunk's buffers, from ``_band_buffers(count)``, are allocated
-        here before any chunk starts. Returns once every chunk has finished,
-        then raises the first chunk's error, if any.
+        here before any chunk starts. Returns once every helper has been
+        joined, then raises the first error: the calling thread's chunk's,
+        else the first a helper recorded.
         """
         bands = self._bands
         threads = _threads(len(bands))
@@ -236,21 +209,28 @@ class Scorer:
             for i in range(threads)
         ]
         buffers = [self._band_buffers(count) for _ in chunks]
-        if threads == 1:
-            work(chunks[0], *buffers[0])
-            return
-        pool = _pool()
-        futures = [
-            pool.submit(work, chunk, *chunk_buffers)
-            for chunk, chunk_buffers in zip(chunks[1:], buffers[1:])
-        ]
+        errors = []
+
+        def help_with(chunk, chunk_buffers):
+            try:
+                work(chunk, *chunk_buffers)
+            except BaseException as error:
+                errors.append(error)
+
+        helpers = []
         try:
+            for chunk, chunk_buffers in zip(chunks[1:], buffers[1:]):
+                helper = threading.Thread(
+                    target=help_with, args=(chunk, chunk_buffers), name="tetrascale-ssim"
+                )
+                helper.start()
+                helpers.append(helper)
             work(chunks[0], *buffers[0])
         finally:
-            for future in futures:
-                future.exception()  # waits for the chunk
-        for future in futures:
-            future.result()
+            for helper in helpers:
+                helper.join()
+        if errors:
+            raise errors[0]
 
     def score(self, output: GrayImage) -> tuple[float, float, float]:
         """``(mse, psnr, ssim)`` of ``output`` against the reference."""

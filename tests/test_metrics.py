@@ -216,19 +216,32 @@ PINNED_SCORES = {
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Sets how many threads may score one image (``metrics._WORKERS``),
-    with a pool of that size of its own, shut down after the test."""
+    """Sets how many threads may score one image (``metrics._WORKERS``)."""
 
     def set_workers(count):
-        if metrics._executor is not None:
-            metrics._executor.shutdown()
-        monkeypatch.setattr(metrics, "_executor", None)
         monkeypatch.setattr(metrics, "_WORKERS", count)
 
-    monkeypatch.setattr(metrics, "_executor", None)
-    yield set_workers
-    if metrics._executor is not None:
-        metrics._executor.shutdown()
+    return set_workers
+
+
+def _smoothing_threads(monkeypatch):
+    """Record, in the returned set, every thread that runs a ``_smooth``."""
+    threads = set()
+    original = metrics._smooth
+
+    def spied(slab, offset, out, buf):
+        threads.add(threading.current_thread())
+        return original(slab, offset, out, buf)
+
+    monkeypatch.setattr(metrics, "_smooth", spied)
+    return threads
+
+
+def _scoring_threads(count, height, band_rows):
+    """Threads that score an image of ``height`` rows in bands of
+    ``band_rows``, with ``count`` usable CPUs: at most one per two bands."""
+    bands = -(-height // band_rows)
+    return max(1, min(count, bands // 2))
 
 
 class TestScorer:
@@ -306,6 +319,7 @@ class TestScorer:
         one; only their order across the threads is not defined."""
         workers(2)
         calls = self._count_smooths(monkeypatch)
+        threads = _smoothing_threads(monkeypatch)
         # Bands of 10, 10, 10, 10 and 8 rows, in chunks of two and three.
         monkeypatch.setattr(metrics, "_BAND_PIXELS", 0)
         monkeypatch.setattr(metrics, "_MIN_BAND_ROWS", 10)
@@ -317,37 +331,48 @@ class TestScorer:
         assert sorted(calls, key=key) == sorted(
             [(dtype, s) for s in slabs for dtype in (u8, u16)], key=key
         )
+        assert len(threads) == 2 and threading.current_thread() in threads
         del calls[:]
+        threads.clear()
         scorer.score(resize(downsample(reference, 4), 4, "TB"))
         assert sorted(calls, key=key) == sorted(
             [(dtype, s) for s in slabs for dtype in (u8, u16, u16)], key=key
         )
-        assert metrics._executor is not None
+        assert len(threads) == 2 and threading.current_thread() in threads
 
     @pytest.mark.parametrize("count", (1, 2, 3, 16))
     def test_scores_pinned_for_any_thread_count(self, count, monkeypatch, workers):
         """Bands of 4 rows, which cut every image unevenly or into many
         bands (37 and 129 rows end in a band of one row), scored by up to
-        ``count`` threads: every value keeps its bits."""
+        ``count`` threads: every value keeps its bits, and no thread is
+        left running once the scores return."""
         workers(count)
         monkeypatch.setattr(metrics, "_BAND_PIXELS", 0)
         monkeypatch.setattr(metrics, "_MIN_BAND_ROWS", 4)
+        threads = _smoothing_threads(monkeypatch)
+        alive = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # threads switch as often as they can
         try:
             for name, reference, output in (*_pairs(), *_seam_pairs()):
                 pinned = PINNED_SCORES[name]
-                score = Scorer(reference).score(output)
+                expected = _scoring_threads(count, reference.height, 4)
+                scorer = Scorer(reference)
+                threads.clear()
+                score = scorer.score(output)
                 assert tuple(float.hex(v) for v in score) == pinned, name
+                assert len(threads) == expected, name
+                assert threading.current_thread() in threads, name
+                helpers = threads - {threading.current_thread()}
+                assert not any(helper.is_alive() for helper in helpers), name
                 assert float.hex(ssim(reference, output)) == pinned[2], name
         finally:
             sys.setswitchinterval(interval)
-        # One thread never starts the pool.
-        assert (metrics._executor is None) == (count == 1)
+        assert threading.active_count() == alive, threading.enumerate()
 
     def test_error_in_a_pool_thread_propagates(self, monkeypatch, workers):
-        """An error in a chunk that a pool thread scores is raised by
-        ``score``, and the scorer and the pool still score correctly."""
+        """An error in a chunk that a helper thread scores is raised by
+        ``score``, and the scorer still scores correctly."""
         workers(2)
         monkeypatch.setattr(metrics, "_BAND_PIXELS", 0)
         monkeypatch.setattr(metrics, "_MIN_BAND_ROWS", 4)
@@ -369,26 +394,26 @@ class TestScorer:
 
     def test_first_chunk_error_waits_for_the_others(self, monkeypatch, workers):
         """An error in the calling thread's chunk is raised only after the
-        pool thread has finished every band of its own chunk."""
+        helper thread has finished every band of its own chunk."""
         workers(2)
         monkeypatch.setattr(metrics, "_BAND_PIXELS", 0)
         monkeypatch.setattr(metrics, "_MIN_BAND_ROWS", 4)
         _, reference, output = next(p for p in _pairs() if p[0] == "scene-TB")
         scorer = Scorer(reference)  # 16 bands, 8 per thread
         original = metrics._smooth
-        pool_smooths = []
+        helper_smooths = []
 
         def failing(slab, offset, out, buf):
             if threading.current_thread() is threading.main_thread():
                 raise RuntimeError("smooth failed")
             time.sleep(0.001)
             original(slab, offset, out, buf)
-            pool_smooths.append(slab.shape)
+            helper_smooths.append(slab.shape)
 
         monkeypatch.setattr(metrics, "_smooth", failing)
         with pytest.raises(RuntimeError, match="smooth failed"):
             scorer.score(output)
-        assert len(pool_smooths) == 3 * 8
+        assert len(helper_smooths) == 3 * 8
 
     def test_dimension_mismatch(self):
         scorer = Scorer(constant_image(16, 16, 0))
@@ -409,9 +434,8 @@ class TestScorer:
             GrayImage(rng.integers(0, 256, shape).astype(np.uint8))
             for _ in range(2)
         )
-        # The first score in a process imports scipy, and the first that
-        # needs the pool starts it; neither is the per-pixel work bounded
-        # here.
+        # The first score in a process imports scipy, which is not the
+        # per-pixel work bounded here.
         ssim(a, b)
         run = prepare(a, b)
         tracemalloc.start()
@@ -455,11 +479,12 @@ class TestScorer:
         assert self._allocation_peak_per_pixel(self._SSIM) < 42
 
     @pytest.mark.parametrize("shape", ((91, 4000), (11, 33000)), ids=("4000x91", "33000x11"))
-    def test_short_wide_images_take_no_more_in_two_threads(self, shape, workers):
+    def test_short_wide_images_take_no_more_in_two_threads(self, shape, monkeypatch, workers):
         """An image of at most three bands is scored in the calling thread,
         so a second usable CPU adds nothing to its peak (one thread:
         38.6 B/px for a score and 54.6 for ``ssim`` at 4000x91, 50.1 and
         66.1 at 33000x11)."""
+        threads = _smoothing_threads(monkeypatch)
         workers(1)
         single = [
             self._allocation_peak_per_pixel(prepare, shape)
@@ -471,14 +496,14 @@ class TestScorer:
             for prepare in (self._SCORE, self._SSIM)
         ]
         assert all(d <= s for d, s in zip(double, single)), (double, single)
-        assert metrics._executor is None
+        assert threads == {threading.current_thread()}
 
 
 #: Run in a fresh interpreter: resizing, through the package and the
 #: ``resize`` command, loads no scipy module and no ``concurrent.futures``,
 #: and starts no thread; the first score loads scipy, and its values are the
 #: free functions'. An image of at most three bands is scored in the calling
-#: thread, with no pool (scipy itself imports ``concurrent.futures``).
+#: thread alone (scipy itself imports ``concurrent.futures``).
 _LAZY_SCIPY = """
 import sys
 import threading
@@ -504,10 +529,17 @@ assert tetrascale.cli.main(
 assert not scipy_modules(), scipy_modules()
 assert_one_thread()
 output = resize(img, 2.0, "TB")
+smooth, smoothing_threads = tetrascale.metrics._smooth, set()
+
+def spied(*args):
+    smoothing_threads.add(threading.current_thread())
+    return smooth(*args)
+
+tetrascale.metrics._smooth = spied
 score = Scorer(reference).score(output)
 assert score == (mse(reference, output), psnr(reference, output), ssim(reference, output))
 assert "scipy.ndimage" in scipy_modules()
-assert tetrascale.metrics._executor is None
+assert smoothing_threads == {threading.main_thread()}, smoothing_threads
 assert threading.active_count() == 1, threading.enumerate()
 """
 
@@ -528,25 +560,34 @@ def test_scipy_loads_only_when_scoring(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-#: Run in a fresh interpreter: a child forked after the parent's pool has
-#: started scores with a pool of its own. The parent's pool threads do not
-#: exist in the child, so handing them work there would wait forever; the
-#: alarm ends a child that hangs.
+#: Run in a fresh interpreter: a child forked after the parent has scored in
+#: two threads scores in two threads of its own, and gets the same values.
+#: The alarm ends a child that hangs.
 _SCORE_AFTER_FORK = """
-import os, signal
+import os, signal, threading
 import numpy as np
 from tetrascale import GrayImage, metrics
 
+smooth, smoothing_threads = metrics._smooth, set()
+
+def spied(*args):
+    smoothing_threads.add(threading.current_thread())
+    return smooth(*args)
+
+metrics._smooth = spied
 metrics._WORKERS = 2
 rng = np.random.default_rng(3)
 a, b = (GrayImage(rng.integers(0, 256, (512, 512)).astype(np.uint8)) for _ in range(2))
 scorer = metrics.Scorer(a)
+smoothing_threads.clear()
 expected = scorer.score(b)
-assert metrics._executor is not None
+assert len(smoothing_threads) == 2, smoothing_threads
 pid = os.fork()
 if pid == 0:
     signal.alarm(10)
-    os._exit(0 if scorer.score(b) == expected else 1)
+    smoothing_threads.clear()
+    same = scorer.score(b) == expected
+    os._exit(0 if same and len(smoothing_threads) == 2 else 1)
 _, status = os.waitpid(pid, 0)
 assert os.waitstatus_to_exitcode(status) == 0, status
 assert scorer.score(b) == expected
