@@ -58,6 +58,17 @@ class GrayImage:
         )
 
 
+def _adopt(pixels: np.ndarray) -> GrayImage:
+    """A ``GrayImage`` of ``pixels`` without the copy that ``GrayImage``
+    makes: ``pixels``, a (height, width) uint8 array that the package has
+    just made and that nothing else refers to, is made read-only and kept.
+    """
+    pixels.setflags(write=False)
+    image = object.__new__(GrayImage)
+    object.__setattr__(image, "pixels", pixels)
+    return image
+
+
 def quantize_into(values: np.ndarray, out: np.ndarray) -> None:
     """Write ``values`` rounded half away from zero and clamped to [0, 255]
     into the uint8 array ``out``.

@@ -24,19 +24,34 @@ bands of about ``_BAND_PIXELS`` pixels, so no band grows with the output.
 band, a table of the scheme's position-only arrays (TB's, MD's and HR's
 weights, AT's half-hypotenuses); otherwise each band evaluates them itself.
 
+A block's bands run on up to ``_THREADS`` usable CPUs through ``_bands``,
+the runner that SSIM scoring uses too: the calling thread takes the first
+contiguous chunk of bands, and a helper thread that ``resize`` starts and
+joins each other chunk, at most one thread per two bands. The cap bounds
+the working memory whatever the CPU count. Each band reads the block's
+plan, which no band changes, and writes only its own rows of the output.
+As in scoring, the calling thread allocates every chunk's band buffers
+(``_band_buffers``) before any chunk starts, and a band computes its table
+rows, corners, weights and sums in its chunk's buffers. A helper thread
+then allocates only the smaller arrays its bands evaluate themselves:
+glibc serves other threads from arenas of their own, which keep the memory
+after the thread ends, and a helper started while the last one is still
+exiting gets a new arena. ``resize`` hands the finished output to
+``GrayImage`` read-only and without a copy (``image._adopt``).
+
 A band reads only the source rows its taps reach (``_band_source``). The
 2x2 path (``_weighted_field``) gathers the left and right source columns,
 evaluates AT's and AC's value-only terms on them once per source row, then
-gathers the four uint8 corner grids and their rows of the terms, and sums
-((w1*p1 + w2*p2) + w3*p3) + w4*p4 in the weight buffers. TC
+gathers each corner's rows of the terms and its uint8 grid, one corner at a
+time, and sums ((w1*p1 + w2*p2) + w3*p3) + w4*p4 in the weight buffers. TC
 (``_bicubic_field``) runs its horizontal pass, then its vertical pass, each
 summing its four taps in tap order. Each field is rounded straight into its
-block of the output.
+rows of the output.
 
-Every pixel's arithmetic is the same whatever the block, the band, the table
-or the grid a term is evaluated on. ``tests/oracle.py`` restates the formulas
-one pixel at a time in plain Python, and ``resize`` must match it bit for
-bit.
+Every pixel's arithmetic is the same whatever the block, the band, the
+thread, the table or the grid a term is evaluated on. ``tests/oracle.py``
+restates the formulas one pixel at a time in plain Python, and ``resize``
+must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -47,7 +62,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .image import GrayImage, quantize_into as _quantize
+from . import _bands
+from .image import GrayImage, _adopt, quantize_into as _quantize
 from . import weights as _w
 
 
@@ -60,9 +76,10 @@ class _Weights(NamedTuple):
     grids (the source rows it reads, at its x0 and x0 + 1 columns), one
     array for each, or None when it needs none beyond the corners.
     ``weights(dx, dy, g, corners, terms)`` gives a band's four weights from
-    ``g``, the band's rows of the position-only arrays (None for AC), its
-    uint8 corner grids, and ``terms``, each corner's value-only terms, an
-    iterable read once in corner order (None when there are none).
+    ``g``, the band's rows of the position-only arrays (None for AC),
+    ``corners``, its uint8 corner grids, and ``terms``, each corner's
+    value-only terms (None when there are none); ``corners`` and ``terms``
+    are iterables read at most once, in corner order.
     """
 
     position: Callable | None
@@ -116,11 +133,18 @@ INTENSITY_DOMAINS = ("raw", "unit")
 #: bands below it bounds the working memory too (README "Memory").
 MAX_OUTPUT_PIXELS = 1 << 26
 
-#: Output pixels per band, rounded to whole rows: about 32k pixels kept AC
-#: fastest at 1024 and 2048 columns, and whole-image or 4-row bands were both
-#: about 2x slower. Also the longest side of a block, and the most pixels a
-#: block's position table may hold.
-_BAND_PIXELS = 1 << 15
+#: Output pixels per band, rounded to whole rows. Whole-image or 4-row bands
+#: were both about 2x slower than bands of 2^15. At 2^15 each numpy call of a
+#: band lasts only 10-30 us, so two threads saved nothing; 2^16 lets them save
+#: 16-32%, and costs one thread 1-2%. Also the longest side of a block, and
+#: the most pixels a block's position table may hold.
+_BAND_PIXELS = 1 << 16
+
+#: Most threads that run one block's bands. Each holds one band's buffers
+#: and working set, about 2.6 MiB, so a cap that does not depend on the
+#: CPU count keeps a resize's working memory within a constant of its
+#: output on any machine (README "Memory").
+_THREADS = 2
 
 
 def map_dst_to_src(dst_index, scale):
@@ -245,51 +269,79 @@ def _band_source(pixels: np.ndarray, y_taps, band: slice):
     return [position[t] for t in taps], np.compress(reached, pixels[top:bottom], axis=0)
 
 
-def _corner_rows(left, right, yt, yb):
+def _take_rows(array, taps, out):
+    """The rows ``taps`` of ``array``, into ``out``, or a fresh array when
+    that is None.
+
+    The taps are always in range, so 'clip' mode changes no value; unlike
+    the default mode, it writes straight into ``out`` instead of through a
+    buffer of its own.
+    """
+    return np.take(array, taps, axis=0, out=out, mode="clip")
+
+
+def _corner_rows(left, right, yt, yb, out):
     """Each corner's rows, P1..P4, of a left and a right column grid, one
-    corner at a time."""
-    for taps, columns in ((yt, left), (yt, right), (yb, left), (yb, right)):
-        yield np.take(columns, taps, axis=0)
+    corner at a time, each into its array of ``out``, or a fresh one where
+    that is None."""
+    rows = ((yt, left), (yt, right), (yb, left), (yb, right))
+    for (taps, columns), o in zip(rows, out):
+        yield _take_rows(columns, taps, o)
 
 
-def _weighted_field(plan: _Plan, band: slice) -> np.ndarray:
+def _weighted_field(plan: _Plan, band: slice, floats, corner) -> np.ndarray:
     """Pre-quantization float output of the block rows ``band`` of a 2x2
-    weighted-sum resize, in a fresh float64 array."""
+    weighted-sum resize.
+
+    ``floats`` are four float64 arrays and ``corner`` a uint8 array of the
+    band's shape (``_band_buffers``). The table's rows, or else AC's
+    partial areas, are gathered into ``floats``, and the weights evaluated
+    and summed in place there, so the field returned is then ``floats[0]``.
+    ``corner`` holds one corner's grid at a time. What a band evaluates
+    itself (its position-only arrays when there is no table, AT's unit
+    values, the normalizing sums) is in fresh arrays.
+    """
     (yt, yb), source = _band_source(plan.pixels, plan.y_taps, band)
     left, right = (np.take(source, x, axis=1) for x in plan.x_taps)
     # At a strong downscale the source is a copy, wider than the band.
     del source
-    corners = tuple(_corner_rows(left, right, yt, yb))
+
+    def corners():
+        """Each corner's grid in turn, P1..P4, in ``corner``."""
+        return _corner_rows(left, right, yt, yb, (corner,) * 4)
+
     dx, dy = plan.x_factors, plan.y_factors[band]
     scheme = _WEIGHTS[plan.scheme]
     if plan.table is not None:
         inverse, arrays = plan.table
-        g = tuple(np.take(a, inverse[band], axis=0) for a in arrays)
+        g = tuple(_take_rows(a, inverse[band], o) for a, o in zip(arrays, floats))
     elif scheme.position is not None:
         g = scheme.position(dx, dy)
     else:
         g = None
     # Value-only terms on the two column grids, one row per source row the
     # band reads; each corner gathers its rows of them as it is weighted.
+    # AC's partial areas, which become its weights, are gathered into
+    # ``floats``, which it has no position-only arrays to fill.
     terms = scheme.values(dx, left, right, plan.intensity_domain)
     if terms is not None:
-        terms = _corner_rows(*terms, yt, yb)
-    w1, w2, w3, w4 = scheme.weights(dx, dy, g, corners, terms)
+        terms = _corner_rows(*terms, yt, yb, floats if g is None else (None,) * 4)
+    weights = scheme.weights(dx, dy, g, corners(), terms)
     # ((w1*p1 + w2*p2) + w3*p3) + w4*p4, the oracle's order, in the weight
-    # buffers: each is a fresh band-shaped float64 array.
-    p1, p2, p3, p4 = corners
-    acc = np.multiply(w1, p1, out=w1)
-    for wk, pk in ((w2, p2), (w3, p3), (w4, p4)):
+    # arrays.
+    p = corners()
+    acc = np.multiply(weights[0], next(p), out=weights[0])
+    for wk, pk in zip(weights[1:], p):
         acc += np.multiply(wk, pk, out=wk)
     return acc
 
 
-def _nearest(image: GrayImage, ratio: float, shape: tuple[int, int]) -> GrayImage:
+def _nearest(image: GrayImage, ratio: float, shape: tuple[int, int]) -> np.ndarray:
     """Nearest-neighbor resize to ``shape``: source index floor(src + 0.5), clamped."""
     (iy,), _ = _axis_taps(image.height, ratio, range(shape[0]), (0,), 0.5)
     (ix,), _ = _axis_taps(image.width, ratio, range(shape[1]), (0,), 0.5)
     columns = np.take(image.pixels, ix, axis=1)
-    return GrayImage(np.take(columns, iy, axis=0))
+    return np.take(columns, iy, axis=0)
 
 
 #: Keys cubic-convolution coefficient ("traditional bicubic").
@@ -320,19 +372,42 @@ def _cubic_sum(terms, coefficients) -> np.ndarray:
     return acc
 
 
-def _bicubic_field(plan: _Plan, band: slice) -> np.ndarray:
+def _bicubic_field(plan: _Plan, band: slice, floats) -> np.ndarray:
     """Pre-quantization float output of the block rows ``band`` of the
-    separable bicubic resize, in a fresh float64 array: the horizontal pass
-    over the source rows the band's vertical taps reach, then the vertical
-    pass."""
+    separable bicubic resize: the horizontal pass over the source rows the
+    band's vertical taps reach, then the vertical pass. ``floats`` are two
+    float64 arrays of the band's shape: the vertical pass sums its first
+    tap in place in ``floats[0]``, which is the field returned, and gathers
+    each later tap into ``floats[1]`` once the one before it is added."""
     taps, source = _band_source(plan.pixels, plan.y_taps, band)
     columns = [np.take(source, x, axis=1) for x in plan.x_taps]
     # At a strong downscale the source is a copy, wider than the band.
     del source
     horizontal = _cubic_sum(columns, plan.x_factors)
     del columns
-    rows = (np.take(horizontal, t, axis=0) for t in taps)
+    first, later = floats
+    rows = (_take_rows(horizontal, t, o) for t, o in zip(taps, (first, later, later, later)))
     return _cubic_sum(rows, [c[band] for c in plan.y_factors])
+
+
+def _band_buffers(plan: _Plan, rows: int) -> tuple:
+    """The arrays that the bands of ``plan``, of at most ``rows`` rows each,
+    are computed in: two float64 ones for TC; four float64 ones and one
+    uint8 one for the 2x2 schemes."""
+    shape = (rows, len(plan.x_taps[0]))
+    if plan.scheme == "TC":
+        return (np.empty((2, *shape)),)
+    return np.empty((4, *shape)), np.empty(shape, dtype=np.uint8)
+
+
+def _fill_bands(plan: _Plan, block: np.ndarray, bands, *buffers) -> None:
+    """Round each band of ``bands``, ranges of block rows, into its rows of
+    ``block``, the block of the output that ``plan`` covers, computing it
+    in ``buffers`` (``_band_buffers``)."""
+    field = _bicubic_field if plan.scheme == "TC" else _weighted_field
+    for band in bands:
+        arrays = (b[..., : len(band), :] for b in buffers)
+        _quantize(field(plan, slice(band.start, band.stop), *arrays), block[band.start : band.stop])
 
 
 def resize(
@@ -362,21 +437,22 @@ def resize(
             f"output at ratio {ratio!r} would exceed {MAX_OUTPUT_PIXELS} pixels"
         )
     if scheme == "TN":
-        return _nearest(image, ratio, shape)
-    h_out, w_out = shape
-    out = np.empty(shape, dtype=np.uint8)
-    blocks = itertools.product(_spans(h_out, _BAND_PIXELS), _spans(w_out, _BAND_PIXELS))
-    for rows, cols in blocks:
-        plan = _plan(image, ratio, scheme, intensity_domain, rows, cols)
-        for band in _spans(len(rows), max(1, _BAND_PIXELS // len(cols))):
-            top = rows.start + band.start
-            # The field is rounded in its own buffer and cast into the output;
-            # it is not bound to a name, so it is freed before the next
-            # band's is built.
-            _quantize(
-                (_bicubic_field if scheme == "TC" else _weighted_field)(
-                    plan, slice(band.start, band.stop)
-                ),
-                out[top : top + len(band), cols.start : cols.stop],
+        out = _nearest(image, ratio, shape)
+    else:
+        h_out, w_out = shape
+        out = np.empty(shape, dtype=np.uint8)
+        blocks = itertools.product(_spans(h_out, _BAND_PIXELS), _spans(w_out, _BAND_PIXELS))
+        for rows, cols in blocks:
+            plan = _plan(image, ratio, scheme, intensity_domain, rows, cols)
+            block = out[rows.start : rows.stop, cols.start : cols.stop]
+            band_rows = min(len(rows), max(1, _BAND_PIXELS // len(cols)))
+            # Every chunk's buffers are allocated here, before any chunk
+            # starts (see the module docstring).
+            _bands.run(
+                _fill_bands,
+                [
+                    (plan, block, chunk, *_band_buffers(plan, band_rows))
+                    for chunk in _bands.split(_spans(len(rows), band_rows), _THREADS)
+                ],
             )
-    return GrayImage(out)
+    return _adopt(out)

@@ -23,12 +23,10 @@ image's, so the map is bit for bit the one smooths of the whole image give.
 Squares and products are formed as uint16, which holds 255^2 exactly; the
 smoothing reads every line as doubles. MSE sums integer squares, exactly.
 
-The bands are scored by up to ``_WORKERS`` threads, one per CPU this
-process may run on, but at most one per two bands (``_threads``): the
-calling thread scores the first contiguous chunk of bands, and each other
-chunk a helper thread that the score starts and joins before it returns,
-so no thread outlives the score. scipy's smooths release the interpreter
-lock, so the chunks run in parallel. The calling thread allocates each
+The bands are scored on every usable CPU by ``_bands``, the runner that
+``resize`` uses too: the calling thread scores the first contiguous chunk
+of bands, and each other chunk a helper thread that the score starts and
+joins, at most one thread per two bands. The calling thread allocates each
 chunk's band arrays and smoothing buffer before any chunk starts, each
 band writes only its own rows of the maps, and the mean is taken once
 every chunk has finished, so the scores have the same bits for any thread
@@ -45,11 +43,10 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import threading
 
 import numpy as np
 
+from . import _bands
 from .image import GrayImage
 
 SSIM_WINDOW_SIZE = 11
@@ -113,19 +110,6 @@ _HALO = SSIM_WINDOW_SIZE // 2
 #: band's axis-0 pass smooths again cost at most 10/74 of it on a wide image.
 _BAND_PIXELS = 1 << 15
 _MIN_BAND_ROWS = 64
-
-#: Most threads that score one image: one per CPU this process may run on.
-_WORKERS = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
-
-
-def _threads(bands: int) -> int:
-    """Threads that score an image of ``bands`` bands: up to ``_WORKERS``,
-    but at most one per two bands, so that the band buffers each thread
-    holds stay a small share of a short image's."""
-    return max(1, min(_WORKERS, bands // 2))
-
 
 def _smooth(slab: np.ndarray, offset: int, out: np.ndarray, buf: np.ndarray) -> None:
     """Smooth the rows of ``slab`` from ``offset`` on, as many as ``out``
@@ -193,44 +177,12 @@ class Scorer:
         return buf, np.empty((count, rows, width))
 
     def _each_chunk(self, work, count: int) -> None:
-        """Run ``work(bands, buf, arrays)`` on contiguous chunks of the
-        bands, one per thread that scores them (``_threads``): the first in
-        this thread, each other in a helper thread started here.
-
-        Every chunk's buffers, from ``_band_buffers(count)``, are allocated
-        here before any chunk starts. Returns once every helper has been
-        joined, then raises the first error: the calling thread's chunk's,
-        else the first a helper recorded.
-        """
-        bands = self._bands
-        threads = _threads(len(bands))
-        chunks = [
-            bands[len(bands) * i // threads : len(bands) * (i + 1) // threads]
-            for i in range(threads)
-        ]
-        buffers = [self._band_buffers(count) for _ in chunks]
-        errors = []
-
-        def help_with(chunk, chunk_buffers):
-            try:
-                work(chunk, *chunk_buffers)
-            except BaseException as error:
-                errors.append(error)
-
-        helpers = []
-        try:
-            for chunk, chunk_buffers in zip(chunks[1:], buffers[1:]):
-                helper = threading.Thread(
-                    target=help_with, args=(chunk, chunk_buffers), name="tetrascale-ssim"
-                )
-                helper.start()
-                helpers.append(helper)
-            work(chunks[0], *buffers[0])
-        finally:
-            for helper in helpers:
-                helper.join()
-        if errors:
-            raise errors[0]
+        """Run ``work(bands, buf, arrays)`` on the bands in chunks, one per
+        thread that scores them (``_bands.split`` and ``_bands.run``), each
+        chunk with its own buffers from ``_band_buffers(count)``, all
+        allocated here before any chunk starts."""
+        chunks = [(chunk, *self._band_buffers(count)) for chunk in _bands.split(self._bands)]
+        _bands.run(work, chunks)
 
     def score(self, output: GrayImage) -> tuple[float, float, float]:
         """``(mse, psnr, ssim)`` of ``output`` against the reference."""

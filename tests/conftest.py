@@ -41,7 +41,7 @@ def whole_field(img, ratio, scheme, domain="raw"):
     h, w = interpolate._output_shape(img, ratio)
     plan = interpolate._plan(img, ratio, scheme, domain, range(h), range(w))
     field = interpolate._bicubic_field if scheme == "TC" else interpolate._weighted_field
-    return field(plan, slice(None))
+    return field(plan, slice(None), *interpolate._band_buffers(plan, h))
 
 
 def point(*xs):

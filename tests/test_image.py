@@ -29,6 +29,25 @@ class TestGrayImage:
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 1
 
+    def test_any_array_given_is_copied(self):
+        """A writable array, a read-only view of one and a read-only array
+        that owns its data are all copied: writing the original afterwards,
+        or through a view made before it was made read-only, changes no
+        image. Only ``resize`` hands over its output without a copy."""
+        base = np.arange(6, dtype=np.uint8).reshape(2, 3).copy()
+        view = base[:]
+        view.setflags(write=False)
+        owner = base.copy()
+        writer = owner[:]
+        owner.setflags(write=False)
+        images = [GrayImage(base), GrayImage(view), GrayImage(owner)]
+        base[0, 0] = 9
+        writer[0, 0] = 9
+        for img in images:
+            assert not np.shares_memory(img.pixels, base)
+            assert not np.shares_memory(img.pixels, owner)
+            assert img.pixels[0, 0] == 0 and not img.pixels.flags.writeable
+
     def test_equality(self):
         a = GrayImage(np.arange(4, dtype=np.uint8).reshape(2, 2))
         b = GrayImage(np.arange(4, dtype=np.uint8).reshape(2, 2))

@@ -1,6 +1,9 @@
 import ast
 import hashlib
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tetrascale import GrayImage, interpolate, resize
+from tetrascale import GrayImage, _bands, interpolate, resize
 from tetrascale.interpolate import (
     INTENSITY_DOMAINS,
     MAX_OUTPUT_PIXELS,
@@ -290,8 +293,9 @@ IRRATIONAL_RATIO = 2.7 * math.sqrt(2)
 
 
 def position_grids(monkeypatch, image, ratio, scheme, domain="raw"):
-    """Resize ``image`` and return the broadcast shape of every (dx, dy)
-    that ``weights.corner_sides`` was called with, in call order."""
+    """Resize ``image`` in one thread and return the broadcast shape of
+    every (dx, dy) that ``weights.corner_sides`` was called with, in call
+    order."""
     shapes = []
     original = w.corner_sides
 
@@ -300,6 +304,7 @@ def position_grids(monkeypatch, image, ratio, scheme, domain="raw"):
         return original(dx, dy)
 
     monkeypatch.setattr(w, "corner_sides", spy)
+    monkeypatch.setattr(_bands, "_WORKERS", 1)
     resize(image, ratio, scheme, domain)
     monkeypatch.undo()
     return shapes
@@ -315,8 +320,8 @@ class TestPositionTables:
     @pytest.mark.parametrize("scheme", POSITION_SCHEMES)
     def test_tables_engage_when_fractions_repeat(self, scheme, rng, monkeypatch):
         """At ratio 4 every axis has 4 distinct fractions, so a 64x64 ->
-        256x256 resize, two bands of 128 rows, evaluates its geometry once,
-        on the 4 distinct dy x all 256 columns. No pixel is 0, so AT's
+        256x256 resize, one band, evaluates its geometry once, on the 4
+        distinct dy x all 256 columns. No pixel is 0, so AT's
         fallback cannot fire."""
         img = GrayImage(rng.integers(1, 256, (64, 64)).astype(np.uint8))
         assert position_grids(monkeypatch, img, 4.0, scheme) == [(4, 256)]
@@ -324,11 +329,11 @@ class TestPositionTables:
     @pytest.mark.parametrize("scheme", POSITION_SCHEMES)
     def test_no_table_when_fractions_are_distinct(self, scheme, rng, monkeypatch):
         """At 2.7*sqrt(2) no fraction repeats, so each band's geometry is
-        evaluated on the band itself: 244 columns in bands of 134 and 110
+        evaluated on the band itself: 305 columns in bands of 214 and 91
         rows."""
-        img = GrayImage(rng.integers(1, 256, (64, 64)).astype(np.uint8))
+        img = GrayImage(rng.integers(1, 256, (80, 80)).astype(np.uint8))
         grids = position_grids(monkeypatch, img, IRRATIONAL_RATIO, scheme)
-        assert grids == [(134, 244), (110, 244)]
+        assert grids == [(214, 305), (91, 305)]
 
     # A 12x10 image, bands of 400 pixels. At ratio 4 the output is 48x40 in
     # five 10-row bands, and its 4 distinct dy x 40 columns fit in one band:
@@ -447,10 +452,12 @@ class TestResizeDispatch:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("domain", INTENSITY_DOMAINS)
     def test_working_memory_is_banded(self, scheme, domain):
-        """A 96x64 -> 1536x1024 resize allocates at most the output and its
-        final ``GrayImage`` copy (2 B/px) plus 8 MiB, whatever the output
-        size: measured 3.1 to 4.9 MiB with numpy 2.4. Resizing the whole
-        output at once took 49 to 236 MiB."""
+        """A 96x64 -> 1536x1024 resize allocates at most 2 B/px plus 8 MiB,
+        whatever the output size and the CPU count: measured 1.6 to 5.1 MiB
+        in one thread and 1.6 to 7.7 MiB in two with numpy 2.4, the output
+        and one band's buffers and working set per thread, on at most
+        ``interpolate._THREADS`` threads. Resizing the whole output at once
+        took 49 to 236 MiB."""
         img = formula_image()
         out, peak = allocation_peak(lambda: resize(img, 16, scheme, domain))
         assert out.pixels.shape == (1024, 1536)
@@ -462,29 +469,32 @@ class TestResizeDispatch:
     @pytest.mark.parametrize(
         "scheme,domain,shape,ratio,bound",
         [
-            pytest.param("TB", "raw", (64, 96), 4, 16, id="TB-raw-56"),
-            pytest.param("MD", "raw", (64, 96), 4, 16, id="MD-raw-80"),
-            pytest.param("HR", "raw", (64, 96), 4, 16, id="HR-raw-80"),
-            pytest.param("AT", "raw", (64, 96), 4, 20, id="AT-raw-128"),
-            pytest.param("AT", "unit", (64, 96), 4, 20, id="AT-unit-160"),
-            pytest.param("AC", "raw", (64, 96), 4, 18, id="AC-raw-80"),
-            pytest.param("AC", "unit", (64, 96), 4, 18, id="AC-unit-112"),
-            pytest.param("TC", "raw", (64, 96), 4, 12, id="TC-raw-x4"),
-            pytest.param("TC", "raw", (512, 2048), 0.5, 8, id="TC-raw-x0.5"),
-            pytest.param("TB", "raw", (2048, 2048), 0.1, 36, id="TB-raw-x0.1"),
-            pytest.param("TC", "raw", (2048, 2048), 0.1, 69, id="TC-raw-x0.1"),
+            pytest.param("TB", "raw", (64, 96), 4, 26, id="TB-raw-56"),
+            pytest.param("MD", "raw", (64, 96), 4, 26, id="MD-raw-80"),
+            pytest.param("HR", "raw", (64, 96), 4, 26, id="HR-raw-80"),
+            pytest.param("AT", "raw", (64, 96), 4, 33, id="AT-raw-128"),
+            pytest.param("AT", "unit", (64, 96), 4, 34, id="AT-unit-160"),
+            pytest.param("AC", "raw", (64, 96), 4, 30, id="AC-raw-80"),
+            pytest.param("AC", "unit", (64, 96), 4, 31, id="AC-unit-112"),
+            pytest.param("TC", "raw", (64, 96), 4, 18, id="TC-raw-x4"),
+            pytest.param("TC", "raw", (512, 2048), 0.5, 17, id="TC-raw-x0.5"),
+            pytest.param("TB", "raw", (2048, 2048), 0.1, 60, id="TB-raw-x0.1"),
+            pytest.param("TC", "raw", (2048, 2048), 0.1, 102, id="TC-raw-x0.1"),
         ],
     )
-    def test_allocation_peak_per_output_pixel(self, scheme, domain, shape, ratio, bound):
-        """Peak bytes allocated by one resize, per output pixel. At ratio 4
-        the output is 384x256, four bands (85, 85, 85 and 1 rows), so one
-        float64 grid of an 85-row band is about 2.7 B/px. At ratio 0.5 it is
-        1024x256, eight bands of 32 rows. At ratio 0.1 it is 205x205, bands
-        of 159 and 46 rows, so a float64 grid of a band is about 6.2 B/px.
-        Each bound is the peak measured with numpy 2.4 (TB, MD, HR 14.6, AT
-        raw and unit 18.3, AC raw and unit 16.0, TC 10.3 at ratio 4
-        and 7.0 at ratio 0.5; TB 34.2 and TC 67.1 at ratio 0.1) plus less
-        than 2 B/px, so one more float64 grid of a band fails it. The black
+    def test_allocation_peak_per_output_pixel(
+        self, scheme, domain, shape, ratio, bound, monkeypatch
+    ):
+        """Peak bytes allocated by one resize in one thread, per output
+        pixel. At ratio 4 the output is 384x256, two bands (170 and 86
+        rows), so one float64 grid of a 170-row band is about 5.3 B/px. At
+        ratio 0.5 it is 1024x256, four bands of 64 rows (2 B/px a grid). At
+        ratio 0.1 it is 205x205, one band (8 B/px a grid). Each bound is the
+        peak measured with numpy 2.4 (TB, MD, HR 24.7, AT raw 31.4 and unit
+        32.0, AC raw 28.8 and unit 29.6, TC 16.9 at ratio 4 and 16.0 at
+        ratio 0.5; TB 58.6 and TC 101.0 at ratio 0.1, where the band's
+        buffers are held while its source rows are gathered) plus less than
+        2 B/px, so one more float64 grid of a band fails it. The black
         corner runs AT's fallback, its largest path. TC's whole-image
         horizontal pass took 50.7 B/px at ratio 0.5, and 88.7 at ratio 0.1
         while it held a band's gathered source rows; AT's and AC's unit
@@ -492,10 +502,61 @@ class TestResizeDispatch:
         20.7 B/px while it held two corners' values at once and its column
         grids of values through normalization; reading
         every source row between a band's first and last tap took TB 46.5
-        and TC 136.2 B/px at ratio 0.1."""
+        and TC 136.2 B/px at ratio 0.1 (all with bands of 2^15 pixels)."""
+        monkeypatch.setattr(_bands, "_WORKERS", 1)
         img = formula_image(*shape)
         out, peak = allocation_peak(lambda: resize(img, ratio, scheme, domain))
         assert peak / out.pixels.size < bound
+
+    @pytest.mark.parametrize(
+        "scheme,domain,shape,ratio",
+        [
+            pytest.param("TB", "raw", (64, 256), 4, id="TB-raw-x4"),
+            pytest.param("MD", "raw", (64, 256), 4, id="MD-raw-x4"),
+            pytest.param("HR", "raw", (64, 256), 4, id="HR-raw-x4"),
+            pytest.param("AT", "raw", (64, 256), 4, id="AT-raw-x4"),
+            pytest.param("AT", "unit", (64, 256), 4, id="AT-unit-x4"),
+            pytest.param("AC", "raw", (64, 256), 4, id="AC-raw-x4"),
+            pytest.param("AC", "unit", (64, 256), 4, id="AC-unit-x4"),
+            pytest.param("TC", "raw", (64, 256), 4, id="TC-raw-x4"),
+            pytest.param("TC", "raw", (512, 2048), 0.5, id="TC-raw-x0.5"),
+        ],
+    )
+    def test_allocation_peak_per_output_pixel_in_two_threads(
+        self, scheme, domain, shape, ratio, monkeypatch
+    ):
+        """A second thread adds at most one band's buffers and working set.
+        Each output is 1024x256, four bands of 64 rows, so two threads run
+        two bands each. However the threads interleave, the peak is at most
+        the output, the plan, both threads' buffers and both bands' working
+        sets at their largest at once, and the helper's bookkeeping (about 4
+        KB): less than twice the one-thread peak minus the output, which
+        counts the plan (over 30 KB here) twice. Measured with numpy 2.4
+        (B/px, one thread / highest of 40 runs in two threads / bound): TB,
+        MD, HR 10.3 / 19.0 / 19.6, AT raw 12.9 / 23.3 / 24.7, AT unit 13.2 /
+        24.7 / 25.4, AC raw 11.5 / 22.0 / 22.1, AC unit 12.1 / 22.9 / 23.1, TC
+        7.4 / 13.4 / 13.8 at ratio 4 and 16.0 / 30.6 / 31.0 at ratio 0.5."""
+        img = formula_image(*shape)
+        monkeypatch.setattr(_bands, "_WORKERS", 1)
+        out, single = allocation_peak(lambda: resize(img, ratio, scheme, domain))
+        monkeypatch.setattr(_bands, "_WORKERS", 2)
+        threads = _band_threads(monkeypatch)
+        _, double = allocation_peak(lambda: resize(img, ratio, scheme, domain))
+        assert len(threads) == 2
+        assert double < 2 * single - out.pixels.nbytes
+
+    @pytest.mark.parametrize("scheme", ("TN", "TB", "TC"))
+    def test_output_is_allocated_once(self, scheme, monkeypatch):
+        """``resize`` hands its uint8 output to ``GrayImage``, which keeps it
+        without a copy: a 16x16 -> 4096x4096 resize in one thread allocates
+        less than 1.5 B/px (measured 1.01 to 1.27 with numpy 2.4; 2.01 to
+        2.03 while the output was copied)."""
+        monkeypatch.setattr(_bands, "_WORKERS", 1)
+        img = formula_image(16, 16)
+        out, peak = allocation_peak(lambda: resize(img, 256, scheme))
+        assert out.pixels.shape == (4096, 4096)
+        assert not out.pixels.flags.writeable
+        assert peak / out.pixels.size < 1.5
 
     @pytest.mark.parametrize(
         "scheme,domain", [("AT", "unit"), ("AC", "raw"), ("AC", "unit")]
@@ -504,8 +565,8 @@ class TestResizeDispatch:
         """AT's and AC's unit values and AC's partial areas v*v + a*a are
         evaluated on the band's left and right column grids, one row per
         source row the band reads, not on its four corner grids. At ratio 4
-        the 384x256 output is cut into bands of at most 85 rows, which read
-        at most 85/4 + 2 source rows."""
+        the 384x256 output is cut into bands of at most 170 rows, which read
+        at most 170/4 + 2 source rows."""
         shapes = []
         original_values = interpolate.domain_values
         original_partial = w.ac_partial_areas
@@ -520,25 +581,27 @@ class TestResizeDispatch:
 
         monkeypatch.setattr(interpolate, "domain_values", values)
         monkeypatch.setattr(w, "ac_partial_areas", partial)
+        monkeypatch.setattr(_bands, "_WORKERS", 1)
         out = resize(formula_image(), 4, scheme, domain)
         monkeypatch.undo()
         band_rows = interpolate._BAND_PIXELS // out.width
-        assert band_rows == 85 and shapes
+        assert band_rows == 170 and shapes
         assert all(rows <= band_rows // 4 + 2 and cols == 384 for rows, cols in shapes)
 
     @pytest.mark.parametrize(
         "scheme,domain,bound", [("TB", "raw", 36), ("AT", "unit", 37), ("TC", "raw", 48)]
     )
     def test_rows_wider_than_a_band_are_cut_into_spans(self, scheme, domain, bound):
-        """A 1x131072 image at ratio 1 is one output row of four bands'
+        """A 1x262144 image at ratio 1 is one output row of four bands'
         pixels. Cut into column spans of ``_BAND_PIXELS``, its peak per output
-        pixel is fixed: measured with numpy 2.4, TB 33.1, AT unit 35.1 and TC
+        pixel is fixed: measured with numpy 2.4, TB 33.0, AT unit 35.0 and TC
         45.3 B/px, most of it the plan and the table of one span. As one band,
-        the row took 79.0, 104.0 and 113.0 B/px."""
-        pixels = ((np.arange(131072) * 37) % 256).astype(np.uint8)
+        the row took 96.3, 120.0 and 115.0 B/px."""
+        width = 4 * interpolate._BAND_PIXELS
+        pixels = ((np.arange(width) * 37) % 256).astype(np.uint8)
         img = GrayImage(pixels[None, :])
         out, peak = allocation_peak(lambda: resize(img, 1.0, scheme, domain))
-        assert out.pixels.shape == (1, 131072)
+        assert out.pixels.shape == (1, width)
         assert peak / out.pixels.size < bound
 
     def test_intensity_domain_changes_ac_but_not_at(self, rng):
@@ -608,6 +671,129 @@ class TestResizeDispatch:
         resize(img, 2.0, scheme)
         expected = [WEIGHT_FUNCTIONS[scheme]] if scheme in WEIGHT_FUNCTIONS else []
         assert calls == expected
+
+
+def _band_threads(monkeypatch):
+    """Record, in the returned set, every thread that rounds a band into
+    the output."""
+    threads = set()
+    original = interpolate._quantize
+
+    def spied(values, out):
+        threads.add(threading.current_thread())
+        return original(values, out)
+
+    monkeypatch.setattr(interpolate, "_quantize", spied)
+    return threads
+
+
+def _expected_threads(count, shape, band_pixels):
+    """Threads that round the bands of an output of ``shape``, cut into
+    blocks and bands of ``band_pixels``, with up to ``count`` threads: the
+    calling thread, and per block one helper per chunk after the first,
+    with at most one chunk per two bands."""
+    helpers = 0
+    for top in range(0, shape[0], band_pixels):
+        height = min(band_pixels, shape[0] - top)
+        for left in range(0, shape[1], band_pixels):
+            width = min(band_pixels, shape[1] - left)
+            bands = -(-height // max(1, band_pixels // width))
+            helpers += max(1, min(count, bands // 2)) - 1
+    return 1 + helpers
+
+
+class TestBandThreads:
+    """``resize`` runs each block's bands on up to ``_bands._WORKERS``
+    threads, at most ``interpolate._THREADS``, and its output bytes are the
+    same for any count."""
+
+    @pytest.mark.parametrize("count", (1, 2, 3, 16))
+    @pytest.mark.parametrize("band_pixels", (100, 700))
+    def test_outputs_equal_for_any_thread_count(self, count, band_pixels, rng, monkeypatch):
+        """A 60x40 image, cut into blocks of 100 rows and columns (bands of
+        one or two rows), or into bands of 3 and 15 rows (the 148 rows of
+        the 222x148 output end in a band of one), resized by every scheme
+        and domain with up to ``count`` threads (``count`` usable CPUs, and
+        the cap raised to match): every output equals the one-thread output
+        of one band, the bands of each block ran on as many threads as
+        ``_bands.split`` gives, and no thread is left running once
+        ``resize`` returns."""
+        pixels = rng.integers(0, 256, (40, 60)).astype(np.uint8)
+        pixels[30:36, 10:16] = 0
+        img = GrayImage(pixels)
+        cases = [
+            (scheme, domain, ratio)
+            for scheme in SCHEMES
+            for domain in INTENSITY_DOMAINS
+            for ratio in (0.75, 3.0, 3.7)
+        ]
+        monkeypatch.setattr(_bands, "_WORKERS", 1)
+        monkeypatch.setattr(interpolate, "_BAND_PIXELS", MAX_OUTPUT_PIXELS)
+        whole = [resize(img, ratio, s, d).pixels for s, d, ratio in cases]
+        monkeypatch.setattr(_bands, "_WORKERS", count)
+        monkeypatch.setattr(interpolate, "_THREADS", count)
+        monkeypatch.setattr(interpolate, "_BAND_PIXELS", band_pixels)
+        threads = _band_threads(monkeypatch)
+        alive = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch as often as they can
+        try:
+            for (scheme, domain, ratio), expected in zip(cases, whole):
+                threads.clear()
+                out = resize(img, ratio, scheme, domain).pixels
+                assert np.array_equal(out, expected), (scheme, domain, ratio)
+                if scheme == "TN":
+                    assert not threads
+                    continue
+                assert len(threads) == _expected_threads(count, out.shape, band_pixels)
+                assert threading.current_thread() in threads
+                helpers = threads - {threading.current_thread()}
+                assert not any(helper.is_alive() for helper in helpers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == alive, threading.enumerate()
+
+    @pytest.mark.parametrize("scheme", ("TB", "TC", "AT"))
+    def test_threads_are_capped_whatever_the_cpu_count(self, scheme, monkeypatch):
+        """With 16 usable CPUs, the 25 bands of a 96x64 -> 1536x1024 resize
+        still run on ``interpolate._THREADS`` (2) threads, so the bound of
+        ``TestResizeDispatch::test_working_memory_is_banded`` holds on any
+        machine: with one thread per CPU, AT took 12.8 MiB on 4 and 31.9 MiB
+        on 12."""
+        monkeypatch.setattr(_bands, "_WORKERS", 16)
+        threads = _band_threads(monkeypatch)
+        out, peak = allocation_peak(lambda: resize(formula_image(), 16, scheme, "unit"))
+        assert len(threads) == interpolate._THREADS == 2
+        assert peak < 2 * out.pixels.size + 8 * 2**20
+
+    def test_helper_error_is_raised_once_every_helper_has_joined(self, monkeypatch):
+        """Three threads resize a 97x300 image at ratio 1 in 30 bands of 10
+        rows, ten per thread. The first band of the first helper's chunk
+        fails: the error is raised only after the calling thread and the
+        other helper have rounded every band of theirs, and the next resize
+        is whole again."""
+        monkeypatch.setattr(_bands, "_WORKERS", 3)
+        monkeypatch.setattr(interpolate, "_THREADS", 3)
+        monkeypatch.setattr(interpolate, "_BAND_PIXELS", 970)
+        img = formula_image(300, 97)
+        expected = resize(img, 1.0, "TB").pixels
+        original = interpolate._weighted_field
+        finished = []
+
+        def failing(plan, band, *buffers):
+            if band.start == 100:
+                raise RuntimeError("band failed")
+            time.sleep(0.002)
+            field = original(plan, band, *buffers)
+            finished.append(band.start)
+            return field
+
+        monkeypatch.setattr(interpolate, "_weighted_field", failing)
+        with pytest.raises(RuntimeError, match="band failed"):
+            resize(img, 1.0, "TB")
+        assert sorted(finished) == [*range(0, 100, 10), *range(200, 300, 10)]
+        monkeypatch.setattr(interpolate, "_weighted_field", original)
+        assert np.array_equal(resize(img, 1.0, "TB").pixels, expected)
 
 
 #: Ratios the property test below always has among its draws: powers of two,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import tetrascale
-from tetrascale import SCHEMES, GrayImage, downsample, metrics, mse, psnr, resize, ssim
+from tetrascale import SCHEMES, GrayImage, _bands, downsample, metrics, mse, psnr, resize, ssim
 from tetrascale.metrics import (
     SSIM_SIGMA,
     SSIM_WINDOW_SIZE,
@@ -216,10 +216,10 @@ PINNED_SCORES = {
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Sets how many threads may score one image (``metrics._WORKERS``)."""
+    """Sets how many threads may score one image (``_bands._WORKERS``)."""
 
     def set_workers(count):
-        monkeypatch.setattr(metrics, "_WORKERS", count)
+        monkeypatch.setattr(_bands, "_WORKERS", count)
 
     return set_workers
 
@@ -501,9 +501,10 @@ class TestScorer:
 
 #: Run in a fresh interpreter: resizing, through the package and the
 #: ``resize`` command, loads no scipy module and no ``concurrent.futures``,
-#: and starts no thread; the first score loads scipy, and its values are the
-#: free functions'. An image of at most three bands is scored in the calling
-#: thread alone (scipy itself imports ``concurrent.futures``).
+#: and an output of one band starts no thread; the first score loads scipy,
+#: and its values are the free functions'. An image of at most three bands
+#: is scored in the calling thread alone (scipy itself imports
+#: ``concurrent.futures``).
 _LAZY_SCIPY = """
 import sys
 import threading
@@ -566,7 +567,7 @@ def test_scipy_loads_only_when_scoring(tmp_path):
 _SCORE_AFTER_FORK = """
 import os, signal, threading
 import numpy as np
-from tetrascale import GrayImage, metrics
+from tetrascale import GrayImage, _bands, metrics
 
 smooth, smoothing_threads = metrics._smooth, set()
 
@@ -575,7 +576,7 @@ def spied(*args):
     return smooth(*args)
 
 metrics._smooth = spied
-metrics._WORKERS = 2
+_bands._WORKERS = 2
 rng = np.random.default_rng(3)
 a, b = (GrayImage(rng.integers(0, 256, (512, 512)).astype(np.uint8)) for _ in range(2))
 scorer = metrics.Scorer(a)
