@@ -1,14 +1,22 @@
-"""Runs a job's bands on every usable CPU: one runner for ``resize`` and for
-SSIM scoring.
+"""Row bands, and the threads that run them: one band-and-thread rule for
+``resize`` and for SSIM scoring.
 
-``split`` cuts a list of bands into contiguous chunks, one per thread that
-runs them: up to ``_WORKERS``, one per CPU this process may run on, or
-fewer where the caller caps them, but at most one per two bands. ``run`` runs the first chunk in the calling thread
-and each other chunk in a helper thread that it starts and joins before it
-returns, so no thread outlives the call. The bands' numpy and scipy calls
-release the interpreter lock, so the chunks run in parallel. A caller keeps
-the result independent of the thread count by giving each band its own
-rows of the output and only reading what the bands share.
+``rows`` cuts a job of ``height`` rows of ``width`` pixels into bands of
+``min(height, max(minimum, pixels // width))`` rows, the last one shorter.
+``run`` cuts the bands into W = max(1, min(``_WORKERS``, ``_THREADS``,
+bands // 2)) contiguous chunks: at most one thread per usable CPU, at most
+``_THREADS`` whatever the CPU count, and at most one per two bands. It
+calls ``buffers()`` in the calling thread once per chunk, before any chunk
+starts, because glibc serves every other thread from an arena of its own,
+which keeps its memory once the thread ends, and a helper started while the
+last one is still exiting gets a new arena. A job's working memory is
+therefore at most W sets of those buffers on any machine. ``run`` runs the
+first chunk in the calling thread and each other chunk in a helper thread
+that it starts and joins before it returns, so no thread outlives the
+call. The bands' numpy and scipy calls release the interpreter lock, so the
+chunks run in parallel. A caller keeps the result independent of W by
+giving each band its own rows of the output and only reading what the
+bands share.
 """
 
 from __future__ import annotations
@@ -16,32 +24,37 @@ from __future__ import annotations
 import os
 import threading
 
-#: Most threads that run one job's bands: one per CPU this process may run on.
+#: Usable CPUs: those this process may run on.
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
 
-
-def split(bands: list, most: int | None = None) -> list[list]:
-    """``bands`` in contiguous chunks, one per thread that runs them: up to
-    ``_WORKERS``, and up to ``most`` when given, but at most one per two
-    bands, so that the buffers each thread holds stay a small share of a
-    short job's."""
-    threads = min(_WORKERS, len(bands) // 2)
-    if most is not None:
-        threads = min(threads, most)
-    threads = max(1, threads)
-    n = len(bands)
-    return [bands[n * i // threads : n * (i + 1) // threads] for i in range(threads)]
+#: Most threads that run one job's bands. Each holds one band's buffers and
+#: working set, so a cap that does not depend on the CPU count keeps a
+#: resize's or a score's working memory within a constant of its output on
+#: any machine (README "Memory" and "Metrics").
+_THREADS = 2
 
 
-def run(work, chunks) -> None:
-    """Call ``work(*args)`` for each ``args`` in ``chunks``: the first in
-    this thread, each other in a helper thread started here.
+def rows(height: int, width: int, pixels: int, minimum: int) -> list[range]:
+    """Row bands that cover ``range(height)`` in order: each of about
+    ``pixels`` pixels of ``width``, at least ``minimum`` rows and at most
+    ``height``, except a shorter last one."""
+    step = min(height, max(minimum, pixels // width))
+    return [range(top, min(top + step, height)) for top in range(0, height, step)]
+
+
+def run(work, bands: list, buffers) -> None:
+    """Call ``work(chunk, *buffers())`` for each of the W chunks of
+    ``bands``: the first in this thread, each other in a helper thread
+    started here, once ``buffers()`` has been called here for every chunk.
 
     Returns once every helper has been joined, then raises the first error:
     this thread's, else the first a helper recorded.
     """
+    n = len(bands)
+    threads = max(1, min(_WORKERS, _THREADS, n // 2))
+    chunks = [(bands[n * i // threads : n * (i + 1) // threads], *buffers()) for i in range(threads)]
     errors = []
 
     def help_with(args):

@@ -18,26 +18,21 @@ allocated.
 from an anchor, and the fraction src - anchor. TN gathers its columns, then
 its rows. Every other scheme runs one band loop: the output is split into
 blocks of at most ``_BAND_PIXELS`` rows and columns, and each block into
-bands of about ``_BAND_PIXELS`` pixels, so no band grows with the output.
+bands of ``_BAND_PIXELS`` pixels rounded down to whole rows, at least one
+(``_bands.rows``), so no band grows with the output.
 ``_plan`` does a block's position-only work once: the taps and fractions
 (TC: the cubic coefficients) and, when all dx x the distinct dy fit in one
 band, a table of the scheme's position-only arrays (TB's, MD's and HR's
 weights, AT's half-hypotenuses); otherwise each band evaluates them itself.
 
-A block's bands run on up to ``_THREADS`` usable CPUs through ``_bands``,
-the runner that SSIM scoring uses too: the calling thread takes the first
-contiguous chunk of bands, and a helper thread that ``resize`` starts and
-joins each other chunk, at most one thread per two bands. The cap bounds
-the working memory whatever the CPU count. Each band reads the block's
-plan, which no band changes, and writes only its own rows of the output.
-As in scoring, the calling thread allocates every chunk's band buffers
-(``_band_buffers``) before any chunk starts, and a band computes its table
-rows, corners, weights and sums in its chunk's buffers. A helper thread
-then allocates only the smaller arrays its bands evaluate themselves:
-glibc serves other threads from arenas of their own, which keep the memory
-after the thread ends, and a helper started while the last one is still
-exiting gets a new arena. ``resize`` hands the finished output to
-``GrayImage`` read-only and without a copy (``image._adopt``).
+A block's bands run on at most ``_bands._THREADS`` (2) threads, by the rule
+that SSIM scoring uses too (``_bands.run``). Each band reads the block's
+plan, which no band changes, and writes only its own rows of the output. A
+band computes its table rows, corners, weights and sums in its chunk's
+buffers (``_band_buffers``), which the calling thread allocates; what a
+band evaluates itself is in smaller, fresh arrays. ``resize`` hands the
+finished output to ``GrayImage`` read-only and without a copy
+(``image._adopt``).
 
 A band reads only the source rows its taps reach (``_band_source``). The
 2x2 path (``_weighted_field``) gathers the left and right source columns,
@@ -56,6 +51,7 @@ must match it bit for bit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable, NamedTuple
@@ -139,12 +135,6 @@ MAX_OUTPUT_PIXELS = 1 << 26
 #: 16-32%, and costs one thread 1-2%. Also the longest side of a block, and
 #: the most pixels a block's position table may hold.
 _BAND_PIXELS = 1 << 16
-
-#: Most threads that run one block's bands. Each holds one band's buffers
-#: and working set, about 2.6 MiB, so a cap that does not depend on the
-#: CPU count keeps a resize's working memory within a constant of its
-#: output on any machine (README "Memory").
-_THREADS = 2
 
 
 def map_dst_to_src(dst_index, scale):
@@ -293,13 +283,15 @@ def _weighted_field(plan: _Plan, band: slice, floats, corner) -> np.ndarray:
     """Pre-quantization float output of the block rows ``band`` of a 2x2
     weighted-sum resize.
 
-    ``floats`` are four float64 arrays and ``corner`` a uint8 array of the
+    ``floats`` are float64 arrays and ``corner`` a uint8 array of the
     band's shape (``_band_buffers``). The table's rows, or else AC's
     partial areas, are gathered into ``floats``, and the weights evaluated
-    and summed in place there, so the field returned is then ``floats[0]``.
-    ``corner`` holds one corner's grid at a time. What a band evaluates
-    itself (its position-only arrays when there is no table, AT's unit
-    values, the normalizing sums) is in fresh arrays.
+    and summed in place there, so the field returned is then ``floats[0]``;
+    TB, MD and HR, with two arrays, gather each later weight into
+    ``floats[1]`` as the sum reaches it. ``corner`` holds one corner's grid
+    at a time. What a band evaluates itself (its position-only arrays when
+    there is no table, AT's unit values, the normalizing sums) is in fresh
+    arrays.
     """
     (yt, yb), source = _band_source(plan.pixels, plan.y_taps, band)
     left, right = (np.take(source, x, axis=1) for x in plan.x_taps)
@@ -314,7 +306,13 @@ def _weighted_field(plan: _Plan, band: slice, floats, corner) -> np.ndarray:
     scheme = _WEIGHTS[plan.scheme]
     if plan.table is not None:
         inverse, arrays = plan.table
-        g = tuple(_take_rows(a, inverse[band], o) for a, o in zip(arrays, floats))
+        if scheme.weights is _position_only:
+            # The rows are the weights, so each is gathered only as it is
+            # summed: the first into floats[0], each later one into floats[1].
+            outs = (floats[0], *[floats[1]] * 3)
+            g = (_take_rows(a, inverse[band], o) for a, o in zip(arrays, outs))
+        else:
+            g = tuple(_take_rows(a, inverse[band], o) for a, o in zip(arrays, floats))
     elif scheme.position is not None:
         g = scheme.position(dx, dy)
     else:
@@ -329,9 +327,10 @@ def _weighted_field(plan: _Plan, band: slice, floats, corner) -> np.ndarray:
     weights = scheme.weights(dx, dy, g, corners(), terms)
     # ((w1*p1 + w2*p2) + w3*p3) + w4*p4, the oracle's order, in the weight
     # arrays.
-    p = corners()
-    acc = np.multiply(weights[0], next(p), out=weights[0])
-    for wk, pk in zip(weights[1:], p):
+    weights, p = iter(weights), corners()
+    acc = next(weights)
+    np.multiply(acc, next(p), out=acc)
+    for wk, pk in zip(weights, p):
         acc += np.multiply(wk, pk, out=wk)
     return acc
 
@@ -392,12 +391,14 @@ def _bicubic_field(plan: _Plan, band: slice, floats) -> np.ndarray:
 
 def _band_buffers(plan: _Plan, rows: int) -> tuple:
     """The arrays that the bands of ``plan``, of at most ``rows`` rows each,
-    are computed in: two float64 ones for TC; four float64 ones and one
-    uint8 one for the 2x2 schemes."""
+    are computed in: two float64 ones for TC; for the 2x2 schemes one uint8
+    one, and two float64 ones for TB, MD and HR, whose weights are their
+    table rows (``_weighted_field``), four for AT and AC."""
     shape = (rows, len(plan.x_taps[0]))
     if plan.scheme == "TC":
         return (np.empty((2, *shape)),)
-    return np.empty((4, *shape)), np.empty(shape, dtype=np.uint8)
+    floats = 2 if _WEIGHTS[plan.scheme].weights is _position_only else 4
+    return np.empty((floats, *shape)), np.empty(shape, dtype=np.uint8)
 
 
 def _fill_bands(plan: _Plan, block: np.ndarray, bands, *buffers) -> None:
@@ -445,14 +446,10 @@ def resize(
         for rows, cols in blocks:
             plan = _plan(image, ratio, scheme, intensity_domain, rows, cols)
             block = out[rows.start : rows.stop, cols.start : cols.stop]
-            band_rows = min(len(rows), max(1, _BAND_PIXELS // len(cols)))
-            # Every chunk's buffers are allocated here, before any chunk
-            # starts (see the module docstring).
+            bands = _bands.rows(len(rows), len(cols), _BAND_PIXELS, 1)
             _bands.run(
-                _fill_bands,
-                [
-                    (plan, block, chunk, *_band_buffers(plan, band_rows))
-                    for chunk in _bands.split(_spans(len(rows), band_rows), _THREADS)
-                ],
+                functools.partial(_fill_bands, plan, block),
+                bands,
+                functools.partial(_band_buffers, plan, len(bands[0])),
             )
     return _adopt(out)

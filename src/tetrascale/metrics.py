@@ -12,26 +12,25 @@ same code for a single pair, so their values equal ``Scorer.score``'s bit
 for bit.
 
 Scoring runs in bands of whole rows, of at least ``_BAND_PIXELS`` pixels
-and ``_MIN_BAND_ROWS`` rows each (64 rows at 512 wide or wider, more on a
-narrower image; the last band may be shorter). A band is smoothed from a
-slab of its rows plus the ``_HALO`` rows on each side that the window
-reaches, and its SSIM terms are combined while they are in cache and
-divided straight into one full-size map, whose mean is taken once. Each
-line of a smooth is computed on its own, and at the top and bottom of the
-image 'reflect' mode mirrors the slab's edge rows as it mirrors the whole
-image's, so the map is bit for bit the one smooths of the whole image give.
+and ``_MIN_BAND_ROWS`` rows each (``_bands.rows``: 64 rows at 512 wide or
+wider, more on a narrower image; the last band may be shorter). A band is
+smoothed from a slab of its rows plus the ``_HALO`` rows on each side that
+the window reaches, and its SSIM terms are combined while they are in
+cache and divided straight into one full-size map, whose mean is taken
+once. Each line of a smooth is computed on its own, and at the top and
+bottom of the image 'reflect' mode mirrors the slab's edge rows as it
+mirrors the whole image's, so the map is bit for bit the one smooths of
+the whole image give.
 Squares and products are formed as uint16, which holds 255^2 exactly; the
 smoothing reads every line as doubles. MSE sums integer squares, exactly.
 
-The bands are scored on every usable CPU by ``_bands``, the runner that
-``resize`` uses too: the calling thread scores the first contiguous chunk
-of bands, and each other chunk a helper thread that the score starts and
-joins, at most one thread per two bands. The calling thread allocates each
-chunk's band arrays and smoothing buffer before any chunk starts, each
-band writes only its own rows of the maps, and the mean is taken once
-every chunk has finished, so the scores have the same bits for any thread
-count. A score's working memory is therefore the SSIM map plus one band's
-four float64 arrays and smoothing buffer per thread; an image of at most
+The bands are scored on at most ``_bands._THREADS`` (2) threads, by the
+rule that ``resize`` uses too (``_bands.run``): the calling thread
+allocates each thread's band arrays and smoothing buffer, each band writes
+only its own rows of the maps, and the mean is taken once every band has
+finished, so the scores have the same bits for any thread count. A score's
+working memory is therefore the SSIM map plus one band's four float64
+arrays and smoothing buffer per thread, on any machine; an image of at most
 three bands is scored in the calling thread alone.
 
 The smoothing is scipy's ``correlate1d``. scipy is imported by the first
@@ -147,16 +146,15 @@ class Scorer:
             )
         self.reference = reference
         height, width = reference.pixels.shape
-        self._band_rows = rows = min(max(_MIN_BAND_ROWS, _BAND_PIXELS // width), height)
         # Each band's rows, the slab of rows its smooth reads, and the
         # band's offset in that slab.
         self._bands = []
-        for top in range(0, height, rows):
-            slab = slice(max(top - _HALO, 0), top + rows + _HALO)
-            self._bands.append((slice(top, top + rows), slab, top - slab.start))
+        for rows in _bands.rows(height, width, _BAND_PIXELS, _MIN_BAND_ROWS):
+            slab = slice(max(rows.start - _HALO, 0), rows.stop + _HALO)
+            self._bands.append((slice(rows.start, rows.stop), slab, rows.start - slab.start))
         self._mu_x = np.empty((height, width))
         self._var_x = np.empty((height, width))
-        self._each_chunk(self._smooth_reference, 1)
+        _bands.run(self._smooth_reference, self._bands, functools.partial(self._band_buffers, 1))
 
     def _smooth_reference(self, bands, buf, arrays) -> None:
         """The reference's local mean and variance on ``bands``."""
@@ -170,19 +168,13 @@ class Scorer:
 
     def _band_buffers(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """A smoothing buffer for ``_smooth``, of the largest slab's rows,
-        and ``count`` C-ordered float64 arrays of the largest band's shape."""
+        and ``count`` C-ordered float64 arrays of the largest band's shape:
+        the first band's."""
         height, width = self.reference.pixels.shape
-        rows = self._band_rows
+        first = self._bands[0][0]
+        rows = first.stop - first.start
         buf = np.empty((min(rows + 2 * _HALO, height), width), order="F")
         return buf, np.empty((count, rows, width))
-
-    def _each_chunk(self, work, count: int) -> None:
-        """Run ``work(bands, buf, arrays)`` on the bands in chunks, one per
-        thread that scores them (``_bands.split`` and ``_bands.run``), each
-        chunk with its own buffers from ``_band_buffers(count)``, all
-        allocated here before any chunk starts."""
-        chunks = [(chunk, *self._band_buffers(count)) for chunk in _bands.split(self._bands)]
-        _bands.run(work, chunks)
 
     def score(self, output: GrayImage) -> tuple[float, float, float]:
         """``(mse, psnr, ssim)`` of ``output`` against the reference."""
@@ -193,8 +185,10 @@ class Scorer:
     def _ssim_map(self, output: GrayImage) -> np.ndarray:
         """Local SSIM map of ``output``, which has the reference's size."""
         ssim_map = np.empty(output.pixels.shape)
-        self._each_chunk(
-            functools.partial(self._ssim_bands, output.pixels, ssim_map), 4
+        _bands.run(
+            functools.partial(self._ssim_bands, output.pixels, ssim_map),
+            self._bands,
+            functools.partial(self._band_buffers, 4),
         )
         return ssim_map
 

@@ -456,7 +456,7 @@ class TestResizeDispatch:
         whatever the output size and the CPU count: measured 1.6 to 5.1 MiB
         in one thread and 1.6 to 7.7 MiB in two with numpy 2.4, the output
         and one band's buffers and working set per thread, on at most
-        ``interpolate._THREADS`` threads. Resizing the whole output at once
+        ``_bands._THREADS`` threads. Resizing the whole output at once
         took 49 to 236 MiB."""
         img = formula_image()
         out, peak = allocation_peak(lambda: resize(img, 16, scheme, domain))
@@ -469,16 +469,16 @@ class TestResizeDispatch:
     @pytest.mark.parametrize(
         "scheme,domain,shape,ratio,bound",
         [
-            pytest.param("TB", "raw", (64, 96), 4, 26, id="TB-raw-56"),
-            pytest.param("MD", "raw", (64, 96), 4, 26, id="MD-raw-80"),
-            pytest.param("HR", "raw", (64, 96), 4, 26, id="HR-raw-80"),
+            pytest.param("TB", "raw", (64, 96), 4, 16, id="TB-raw-56"),
+            pytest.param("MD", "raw", (64, 96), 4, 16, id="MD-raw-80"),
+            pytest.param("HR", "raw", (64, 96), 4, 16, id="HR-raw-80"),
             pytest.param("AT", "raw", (64, 96), 4, 33, id="AT-raw-128"),
             pytest.param("AT", "unit", (64, 96), 4, 34, id="AT-unit-160"),
             pytest.param("AC", "raw", (64, 96), 4, 30, id="AC-raw-80"),
             pytest.param("AC", "unit", (64, 96), 4, 31, id="AC-unit-112"),
             pytest.param("TC", "raw", (64, 96), 4, 18, id="TC-raw-x4"),
             pytest.param("TC", "raw", (512, 2048), 0.5, 17, id="TC-raw-x0.5"),
-            pytest.param("TB", "raw", (2048, 2048), 0.1, 60, id="TB-raw-x0.1"),
+            pytest.param("TB", "raw", (2048, 2048), 0.1, 44, id="TB-raw-x0.1"),
             pytest.param("TC", "raw", (2048, 2048), 0.1, 102, id="TC-raw-x0.1"),
         ],
     )
@@ -490,17 +490,18 @@ class TestResizeDispatch:
         rows), so one float64 grid of a 170-row band is about 5.3 B/px. At
         ratio 0.5 it is 1024x256, four bands of 64 rows (2 B/px a grid). At
         ratio 0.1 it is 205x205, one band (8 B/px a grid). Each bound is the
-        peak measured with numpy 2.4 (TB, MD, HR 24.7, AT raw 31.4 and unit
+        peak measured with numpy 2.4 (TB, MD, HR 14.1, AT raw 31.4 and unit
         32.0, AC raw 28.8 and unit 29.6, TC 16.9 at ratio 4 and 16.0 at
-        ratio 0.5; TB 58.6 and TC 101.0 at ratio 0.1, where the band's
+        ratio 0.5; TB 42.6 and TC 101.0 at ratio 0.1, where the band's
         buffers are held while its source rows are gathered) plus less than
-        2 B/px, so one more float64 grid of a band fails it. The black
-        corner runs AT's fallback, its largest path. TC's whole-image
-        horizontal pass took 50.7 B/px at ratio 0.5, and 88.7 at ratio 0.1
-        while it held a band's gathered source rows; AT's and AC's unit
-        values on the four corner grids took 28.9 and 27.0 B/px, and AT unit
-        20.7 B/px while it held two corners' values at once and its column
-        grids of values through normalization; reading
+        2 B/px, so one more float64 grid of a band fails it. TB, MD and HR
+        took 24.7 B/px, and TB 58.6 at ratio 0.1, with four float64 band
+        arrays each. The black corner runs AT's fallback, its largest path.
+        TC's whole-image horizontal pass took 50.7 B/px at ratio 0.5, and
+        88.7 at ratio 0.1 while it held a band's gathered source rows; AT's
+        and AC's unit values on the four corner grids took 28.9 and 27.0
+        B/px, and AT unit 20.7 B/px while it held two corners' values at
+        once and its column grids of values through normalization; reading
         every source row between a band's first and last tap took TB 46.5
         and TC 136.2 B/px at ratio 0.1 (all with bands of 2^15 pixels)."""
         monkeypatch.setattr(_bands, "_WORKERS", 1)
@@ -533,7 +534,7 @@ class TestResizeDispatch:
         KB): less than twice the one-thread peak minus the output, which
         counts the plan (over 30 KB here) twice. Measured with numpy 2.4
         (B/px, one thread / highest of 40 runs in two threads / bound): TB,
-        MD, HR 10.3 / 19.0 / 19.6, AT raw 12.9 / 23.3 / 24.7, AT unit 13.2 /
+        MD, HR 6.3 / 11.0 / 11.6, AT raw 12.9 / 23.3 / 24.7, AT unit 13.2 /
         24.7 / 25.4, AC raw 11.5 / 22.0 / 22.1, AC unit 12.1 / 22.9 / 23.1, TC
         7.4 / 13.4 / 13.8 at ratio 4 and 16.0 / 30.6 / 31.0 at ratio 0.5."""
         img = formula_image(*shape)
@@ -704,7 +705,7 @@ def _expected_threads(count, shape, band_pixels):
 
 class TestBandThreads:
     """``resize`` runs each block's bands on up to ``_bands._WORKERS``
-    threads, at most ``interpolate._THREADS``, and its output bytes are the
+    threads, at most ``_bands._THREADS``, and its output bytes are the
     same for any count."""
 
     @pytest.mark.parametrize("count", (1, 2, 3, 16))
@@ -716,7 +717,7 @@ class TestBandThreads:
         and domain with up to ``count`` threads (``count`` usable CPUs, and
         the cap raised to match): every output equals the one-thread output
         of one band, the bands of each block ran on as many threads as
-        ``_bands.split`` gives, and no thread is left running once
+        ``_bands.run`` gives, and no thread is left running once
         ``resize`` returns."""
         pixels = rng.integers(0, 256, (40, 60)).astype(np.uint8)
         pixels[30:36, 10:16] = 0
@@ -731,7 +732,7 @@ class TestBandThreads:
         monkeypatch.setattr(interpolate, "_BAND_PIXELS", MAX_OUTPUT_PIXELS)
         whole = [resize(img, ratio, s, d).pixels for s, d, ratio in cases]
         monkeypatch.setattr(_bands, "_WORKERS", count)
-        monkeypatch.setattr(interpolate, "_THREADS", count)
+        monkeypatch.setattr(_bands, "_THREADS", count)
         monkeypatch.setattr(interpolate, "_BAND_PIXELS", band_pixels)
         threads = _band_threads(monkeypatch)
         alive = threading.active_count()
@@ -756,14 +757,14 @@ class TestBandThreads:
     @pytest.mark.parametrize("scheme", ("TB", "TC", "AT"))
     def test_threads_are_capped_whatever_the_cpu_count(self, scheme, monkeypatch):
         """With 16 usable CPUs, the 25 bands of a 96x64 -> 1536x1024 resize
-        still run on ``interpolate._THREADS`` (2) threads, so the bound of
+        still run on ``_bands._THREADS`` (2) threads, so the bound of
         ``TestResizeDispatch::test_working_memory_is_banded`` holds on any
         machine: with one thread per CPU, AT took 12.8 MiB on 4 and 31.9 MiB
         on 12."""
         monkeypatch.setattr(_bands, "_WORKERS", 16)
         threads = _band_threads(monkeypatch)
         out, peak = allocation_peak(lambda: resize(formula_image(), 16, scheme, "unit"))
-        assert len(threads) == interpolate._THREADS == 2
+        assert len(threads) == _bands._THREADS == 2
         assert peak < 2 * out.pixels.size + 8 * 2**20
 
     def test_helper_error_is_raised_once_every_helper_has_joined(self, monkeypatch):
@@ -773,7 +774,7 @@ class TestBandThreads:
         other helper have rounded every band of theirs, and the next resize
         is whole again."""
         monkeypatch.setattr(_bands, "_WORKERS", 3)
-        monkeypatch.setattr(interpolate, "_THREADS", 3)
+        monkeypatch.setattr(_bands, "_THREADS", 3)
         monkeypatch.setattr(interpolate, "_BAND_PIXELS", 970)
         img = formula_image(300, 97)
         expected = resize(img, 1.0, "TB").pixels

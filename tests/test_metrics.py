@@ -239,7 +239,8 @@ def _smoothing_threads(monkeypatch):
 
 def _scoring_threads(count, height, band_rows):
     """Threads that score an image of ``height`` rows in bands of
-    ``band_rows``, with ``count`` usable CPUs: at most one per two bands."""
+    ``band_rows``, with ``count`` usable CPUs and a cap of at least
+    ``count``: at most one per two bands."""
     bands = -(-height // band_rows)
     return max(1, min(count, bands // 2))
 
@@ -344,9 +345,11 @@ class TestScorer:
     def test_scores_pinned_for_any_thread_count(self, count, monkeypatch, workers):
         """Bands of 4 rows, which cut every image unevenly or into many
         bands (37 and 129 rows end in a band of one row), scored by up to
-        ``count`` threads: every value keeps its bits, and no thread is
-        left running once the scores return."""
+        ``count`` threads (``count`` usable CPUs, and the cap raised to
+        match): every value keeps its bits, and no thread is left running
+        once the scores return."""
         workers(count)
+        monkeypatch.setattr(_bands, "_THREADS", count)
         monkeypatch.setattr(metrics, "_BAND_PIXELS", 0)
         monkeypatch.setattr(metrics, "_MIN_BAND_ROWS", 4)
         threads = _smoothing_threads(monkeypatch)
@@ -477,6 +480,22 @@ class TestScorer:
         workers(2)
         assert self._allocation_peak_per_pixel(self._SCORE) < 26
         assert self._allocation_peak_per_pixel(self._SSIM) < 42
+
+    def test_threads_are_capped_whatever_the_cpu_count(self, monkeypatch, workers):
+        """With 16 usable CPUs, the 8 bands of a 512x512 score still run on
+        ``_bands._THREADS`` (2) threads, so the two-thread bounds of
+        ``test_two_threads_add_one_band_of_buffers`` hold on any machine:
+        with one thread per CPU, a score took 30.0 B/px and ``ssim`` 46.0
+        on 8 or more."""
+        workers(16)
+        assert self._allocation_peak_per_pixel(self._SCORE) < 26
+        assert self._allocation_peak_per_pixel(self._SSIM) < 42
+        rng = np.random.default_rng(9)
+        a, b = (GrayImage(rng.integers(0, 256, (512, 512)).astype(np.uint8)) for _ in range(2))
+        scorer = Scorer(a)
+        threads = _smoothing_threads(monkeypatch)
+        scorer.score(b)
+        assert len(threads) == _bands._THREADS == 2
 
     @pytest.mark.parametrize("shape", ((91, 4000), (11, 33000)), ids=("4000x91", "33000x11"))
     def test_short_wide_images_take_no_more_in_two_threads(self, shape, monkeypatch, workers):
