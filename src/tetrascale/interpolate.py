@@ -16,10 +16,12 @@ allocated.
 
 ``_axis_taps`` samples each axis: the clamped source index at each offset
 from an anchor, and the fraction src - anchor. TN gathers its columns, then
-its rows. Every other scheme runs one band loop: the output is split into
-blocks of at most ``_BAND_PIXELS`` rows and columns, and each block into
-bands of ``_BAND_PIXELS`` pixels rounded down to whole rows, at least one
-(``_bands.rows``), so no band grows with the output.
+its rows. Every other scheme runs one band loop: ``_bands.rows`` cuts the
+output into blocks of at most ``_BAND_PIXELS`` rows and columns, and each
+block into bands of at most ``_BAND_PIXELS`` pixels, rounded down to whole
+rows but at least one row, so no band grows with the output. The blocks
+differ in size by at most one row or column, and a block's bands by at
+most one row.
 ``_plan`` does a block's position-only work once: the taps and fractions
 (TC: the cubic coefficients) and, when all dx x the distinct dy fit in one
 band, a table of the scheme's position-only arrays (TB's, MD's and HR's
@@ -29,10 +31,10 @@ A block's bands run on at most ``_bands._THREADS`` (2) threads, by the rule
 that SSIM scoring uses too (``_bands.run``). Each band reads the block's
 plan, which no band changes, and writes only its own rows of the output. A
 band computes its table rows, corners, weights and sums in its chunk's
-buffers (``_band_buffers``), which the calling thread allocates; what a
-band evaluates itself is in smaller, fresh arrays. ``resize`` hands the
-finished output to ``GrayImage`` read-only and without a copy
-(``image._adopt``).
+buffers (``_band_buffers``), which the calling thread allocates for the
+block's largest band, as ``_bands.run`` sizes them; what a band evaluates
+itself is in smaller, fresh arrays. ``resize`` hands the finished output
+to ``GrayImage`` read-only and without a copy (``image._adopt``).
 
 A band reads only the source rows its taps reach (``_band_source``). The
 2x2 path (``_weighted_field``) gathers the left and right source columns,
@@ -158,11 +160,6 @@ def _output_length(n: int, ratio: float) -> int:
 
 def _output_shape(image: GrayImage, ratio: float) -> tuple[int, int]:
     return _output_length(image.height, ratio), _output_length(image.width, ratio)
-
-
-def _spans(n: int, size: int) -> list[range]:
-    """Consecutive ranges of at most ``size`` indices that cover range(n)."""
-    return [range(start, min(start + size, n)) for start in range(0, n, size)]
 
 
 def _axis_taps(n_in: int, ratio: float, dst: range, offsets, shift: float = 0.0):
@@ -440,16 +437,15 @@ def resize(
     if scheme == "TN":
         out = _nearest(image, ratio, shape)
     else:
-        h_out, w_out = shape
         out = np.empty(shape, dtype=np.uint8)
-        blocks = itertools.product(_spans(h_out, _BAND_PIXELS), _spans(w_out, _BAND_PIXELS))
-        for rows, cols in blocks:
+        # Blocks of at most _BAND_PIXELS rows and columns, cut as bands are.
+        spans = (_bands.rows(n, 1, _BAND_PIXELS, 1) for n in shape)
+        for rows, cols in itertools.product(*spans):
             plan = _plan(image, ratio, scheme, intensity_domain, rows, cols)
             block = out[rows.start : rows.stop, cols.start : cols.stop]
-            bands = _bands.rows(len(rows), len(cols), _BAND_PIXELS, 1)
             _bands.run(
                 functools.partial(_fill_bands, plan, block),
-                bands,
-                functools.partial(_band_buffers, plan, len(bands[0])),
+                _bands.rows(len(rows), len(cols), _BAND_PIXELS, 1),
+                functools.partial(_band_buffers, plan),
             )
     return _adopt(out)

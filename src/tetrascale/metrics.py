@@ -11,27 +11,29 @@ the local mean of the product. ``mse``, ``psnr`` and ``ssim`` go through the
 same code for a single pair, so their values equal ``Scorer.score``'s bit
 for bit.
 
-Scoring runs in bands of whole rows, of at least ``_BAND_PIXELS`` pixels
-and ``_MIN_BAND_ROWS`` rows each (``_bands.rows``: 64 rows at 512 wide or
-wider, more on a narrower image; the last band may be shorter). A band is
-smoothed from a slab of its rows plus the ``_HALO`` rows on each side that
-the window reaches, and its SSIM terms are combined while they are in
-cache and divided straight into one full-size map, whose mean is taken
-once. Each line of a smooth is computed on its own, and at the top and
-bottom of the image 'reflect' mode mirrors the slab's edge rows as it
-mirrors the whole image's, so the map is bit for bit the one smooths of
-the whole image give.
-Squares and products are formed as uint16, which holds 255^2 exactly; the
-smoothing reads every line as doubles. MSE sums integer squares, exactly.
+Scoring runs in bands of whole rows, as ``_bands.rows`` cuts them: the
+fewest bands of at most ``_BAND_PIXELS`` pixels or ``_MIN_BAND_ROWS`` rows,
+whichever is more (64 rows at 512 wide or wider, more on a narrower
+image), whose heights differ by at most one row. A band is smoothed from
+a slab of its rows plus the ``_HALO`` rows on each side that the window
+reaches, and its SSIM terms are combined while they are in cache and
+divided straight into one full-size map, whose mean is taken once. Each
+line of a smooth is computed on its own, and at the top and bottom of the
+image 'reflect' mode mirrors the slab's edge rows as it mirrors the whole
+image's, so the map is bit for bit the one smooths of the whole image
+give. Squares and products are formed as uint16, which holds 255^2
+exactly; the smoothing reads every line as doubles. MSE sums integer
+squares, exactly.
 
 The bands are scored on at most ``_bands._THREADS`` (2) threads, by the
 rule that ``resize`` uses too (``_bands.run``): the calling thread
-allocates each thread's band arrays and smoothing buffer, each band writes
-only its own rows of the maps, and the mean is taken once every band has
-finished, so the scores have the same bits for any thread count. A score's
-working memory is therefore the SSIM map plus one band's four float64
-arrays and smoothing buffer per thread, on any machine; an image of at most
-three bands is scored in the calling thread alone.
+allocates each thread's band arrays and smoothing buffer, sized for the
+largest band by ``_bands.run``, each band writes only its own rows of the
+maps, and the mean is taken once every band has finished, so the scores
+have the same bits for any thread count. A score's working memory is
+therefore the SSIM map plus one band's four float64 arrays and smoothing
+buffer per thread, on any machine; an image of at most three bands is
+scored in the calling thread alone.
 
 The smoothing is scipy's ``correlate1d``. scipy is imported by the first
 smooth, not by this module, so importing the package or resizing an image
@@ -103,12 +105,21 @@ _WINDOW = _gaussian_1d(SSIM_WINDOW_SIZE, SSIM_SIGMA)
 #: Rows the window reaches on each side of a pixel.
 _HALO = SSIM_WINDOW_SIZE // 2
 
-#: A band of whole rows holds at least this many pixels, so the band's
-#: float64 arrays stay in cache while they are combined (64 rows at 512
-#: wide), and at least ``_MIN_BAND_ROWS`` rows, so the halo rows that each
-#: band's axis-0 pass smooths again cost at most 10/74 of it on a wide image.
+#: A band of whole rows holds at most this many pixels, or at most
+#: ``_MIN_BAND_ROWS`` rows where that is more, so the band's float64 arrays
+#: stay in cache while they are combined (64 rows at 512 wide), and an image
+#: of ``height`` rows has at most ceil(height / 64) bands, whose halo rows
+#: the axis-0 passes smooth again: 10 rows per band.
 _BAND_PIXELS = 1 << 15
 _MIN_BAND_ROWS = 64
+
+
+def _slab(band: range) -> tuple[slice, slice, int]:
+    """The band's rows, the slab of rows its smooth reads (the band and the
+    rows within ``_HALO`` of it), and the band's offset in that slab."""
+    top = max(band.start - _HALO, 0)
+    return slice(band.start, band.stop), slice(top, band.stop + _HALO), band.start - top
+
 
 def _smooth(slab: np.ndarray, offset: int, out: np.ndarray, buf: np.ndarray) -> None:
     """Smooth the rows of ``slab`` from ``offset`` on, as many as ``out``
@@ -146,12 +157,7 @@ class Scorer:
             )
         self.reference = reference
         height, width = reference.pixels.shape
-        # Each band's rows, the slab of rows its smooth reads, and the
-        # band's offset in that slab.
-        self._bands = []
-        for rows in _bands.rows(height, width, _BAND_PIXELS, _MIN_BAND_ROWS):
-            slab = slice(max(rows.start - _HALO, 0), rows.stop + _HALO)
-            self._bands.append((slice(rows.start, rows.stop), slab, rows.start - slab.start))
+        self._bands = _bands.rows(height, width, _BAND_PIXELS, _MIN_BAND_ROWS)
         self._mu_x = np.empty((height, width))
         self._var_x = np.empty((height, width))
         _bands.run(self._smooth_reference, self._bands, functools.partial(self._band_buffers, 1))
@@ -159,20 +165,18 @@ class Scorer:
     def _smooth_reference(self, bands, buf, arrays) -> None:
         """The reference's local mean and variance on ``bands``."""
         (mu_xx,) = arrays
-        for band, slab, offset in bands:
+        for band, slab, offset in map(_slab, bands):
             x = self.reference.pixels[slab]
             mu_x, var_x = self._mu_x[band], self._var_x[band]
             _smooth(x, offset, mu_x, buf)
             _smooth(np.square(x, dtype=np.uint16), offset, var_x, buf)
             var_x -= np.multiply(mu_x, mu_x, out=mu_xx[: len(mu_x)])
 
-    def _band_buffers(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """A smoothing buffer for ``_smooth``, of the largest slab's rows,
-        and ``count`` C-ordered float64 arrays of the largest band's shape:
-        the first band's."""
+    def _band_buffers(self, count: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """A smoothing buffer for ``_smooth``, of the rows of a slab of a
+        band of ``rows`` rows, and ``count`` C-ordered float64 arrays of
+        that band's shape."""
         height, width = self.reference.pixels.shape
-        first = self._bands[0][0]
-        rows = first.stop - first.start
         buf = np.empty((min(rows + 2 * _HALO, height), width), order="F")
         return buf, np.empty((count, rows, width))
 
@@ -202,7 +206,7 @@ class Scorer:
         mu_xx + C1 are not precomputed, because regrouping a sum does
         change bits.
         """
-        for band, slab, offset in bands:
+        for band, slab, offset in map(_slab, bands):
             x, y = self.reference.pixels[slab], y_pixels[slab]
             mu_x, var_x = self._mu_x[band], self._var_x[band]
             mu_y, var_y, cov, den = arrays[:, : len(mu_x)]

@@ -1,4 +1,5 @@
-"""Per-pixel reference for ``tetrascale.resize``.
+"""Per-pixel reference for ``tetrascale.resize``, and a whole-image one
+for the metrics.
 
 Each output pixel is computed on its own, in plain Python floats, straight
 from the paper's definitions: the 2x2 neighborhood around a continuous
@@ -8,6 +9,12 @@ schemes are restated here (``pixel_weights``) rather than taken from
 ``resize`` evaluates the same formulas over whole grids with numpy and must
 reproduce this byte for byte: every step is one correctly rounded ``+ - * /``
 or ``sqrt``, taken in numpy's order (``x * x``, never ``x ** 2``).
+
+``mse`` and ``ssim_map`` restate the metrics from their definitions, without
+``tetrascale.metrics`` or scipy: MSE in exact integer arithmetic, which
+``tetrascale.mse`` must match bit for bit, and SSIM (Wang et al. 2004) as a
+direct 11x11 weighted sum at every pixel, which the banded, separable
+smooths of ``tetrascale.metrics`` match only up to rounding.
 """
 
 import math
@@ -158,3 +165,63 @@ def _reference_bicubic_pixel(image, sx, sy):
             row += kx * get_clamped(image, x0 + i, y0 + j)
         acc += ky * row
     return int(min(max(float(round_half_away(acc)), 0.0), 255.0))
+
+
+#: SSIM's window and constants: an 11-tap Gaussian of sigma 1.5, K1 = 0.01,
+#: K2 = 0.03 and dynamic range L = 255.
+SSIM_TAPS = 11
+SSIM_SIGMA = 1.5
+SSIM_C1 = (0.01 * 255.0) ** 2
+SSIM_C2 = (0.03 * 255.0) ** 2
+
+
+def gaussian_taps(size=SSIM_TAPS, sigma=SSIM_SIGMA):
+    """The 1-D Gaussian window in plain Python floats, normalized to sum 1."""
+    center = (size - 1) / 2.0
+    g = [math.exp(-((k - center) * (k - center)) / (2.0 * sigma * sigma)) for k in range(size)]
+    total = sum(g)
+    return [v / total for v in g]
+
+
+def mse(a: GrayImage, b: GrayImage) -> float:
+    """Mean squared difference: the exact integer sum of squares over the
+    pixel count, correctly rounded once."""
+    diff = a.pixels.astype(np.int64) - b.pixels.astype(np.int64)
+    return int((diff * diff).sum()) / diff.size
+
+
+def ssim_map(a: GrayImage, b: GrayImage) -> np.ndarray:
+    """Local SSIM of a same-size pair, one value per pixel.
+
+    Each local statistic is a weighted sum over the 11x11 pixels around a
+    pixel, the weight at (i, j) the product of taps i and j, on the image
+    padded symmetrically by 5 (edge rows and columns mirrored, edge
+    included: scipy's 'reflect'): the means mu_x and mu_y, then the
+    variances var_x = sum w (x - mu_x)^2 and var_y, and the covariance cov
+    = sum w (x - mu_x)(y - mu_y), which, unlike E[x*x] - mu_x^2, cancel
+    nothing. SSIM is (2 mu_x mu_y + C1)(2 cov + C2) / ((mu_x^2 + mu_y^2 +
+    C1)(var_x + var_y + C2)).
+    """
+    taps = gaussian_taps()
+    half = len(taps) // 2
+    height, width = a.pixels.shape
+    padded = np.pad(
+        np.stack([a.pixels, b.pixels]).astype(np.float64),
+        ((0, 0), (half, half), (half, half)),
+        mode="symmetric",
+    )
+    windows = [
+        (ti * tj, padded[:, i : i + height, j : j + width])
+        for i, ti in enumerate(taps)
+        for j, tj in enumerate(taps)
+    ]
+    mu_x, mu_y = sum(weight * pixels for weight, pixels in windows)
+    var_x, var_y, cov = np.zeros((3, height, width))
+    for weight, (x, y) in windows:
+        dx, dy = x - mu_x, y - mu_y
+        var_x += weight * dx * dx
+        var_y += weight * dy * dy
+        cov += weight * dx * dy
+    num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * cov + SSIM_C2)
+    den = (mu_x * mu_x + mu_y * mu_y + SSIM_C1) * (var_x + var_y + SSIM_C2)
+    return num / den

@@ -329,17 +329,17 @@ class TestPositionTables:
     @pytest.mark.parametrize("scheme", POSITION_SCHEMES)
     def test_no_table_when_fractions_are_distinct(self, scheme, rng, monkeypatch):
         """At 2.7*sqrt(2) no fraction repeats, so each band's geometry is
-        evaluated on the band itself: 305 columns in bands of 214 and 91
-        rows."""
+        evaluated on the band itself: 305 columns in bands of 152 and 153
+        rows, none above the 214 rows of 2^16 pixels."""
         img = GrayImage(rng.integers(1, 256, (80, 80)).astype(np.uint8))
         grids = position_grids(monkeypatch, img, IRRATIONAL_RATIO, scheme)
-        assert grids == [(214, 305), (91, 305)]
+        assert grids == [(152, 305), (153, 305)]
 
     # A 12x10 image, bands of 400 pixels. At ratio 4 the output is 48x40 in
     # five 10-row bands, and its 4 distinct dy x 40 columns fit in one band:
-    # one evaluation. At 3.7 it is 44x37 in bands of 10, 10, 10, 10 and 4
-    # rows, and its 37 distinct dy do not fit: one evaluation per band, on
-    # the band's rows.
+    # one evaluation. At 3.7 it is 44x37 in five bands of at most 10 rows,
+    # 8, 9, 9, 9 and 9, and its 37 distinct dy do not fit: one evaluation
+    # per band, on the band's rows.
     @pytest.mark.parametrize("scheme", POSITION_SCHEMES)
     @pytest.mark.parametrize("ratio", (4.0, 3.7), ids=("once-per-resize", "per-band"))
     def test_position_work_once_per_resize_when_it_fits(
@@ -351,7 +351,7 @@ class TestPositionTables:
         if ratio == 4.0:
             assert grids == [(4, 40)]
         else:
-            assert grids == [(10, 37)] * 4 + [(4, 37)]
+            assert grids == [(8, 37)] + [(9, 37)] * 4
         # position_grids undid every patch, the band size's too.
         monkeypatch.setattr(interpolate, "_BAND_PIXELS", 400)
         out = resize(img, ratio, scheme)
@@ -422,10 +422,11 @@ class TestResizeDispatch:
         assert outputs_digest() == PINNED_DIGEST
 
     # 300 pixels makes bands of one row at ratios 3.0 and 3.7, cuts the
-    # 355- and 359-pixel rows at 3.7 into spans of 300 and the rest, and
-    # splits the 300x97 outputs at 3.0 and 3.7 into blocks of 300 rows.
-    # 2592 pixels makes bands of 7 to 36 rows here, none of which divides the
-    # output height of formula_image() or of the 300x97 image below.
+    # 355- and 359-pixel rows at 3.7 into two column spans each, and splits
+    # the 300x97 outputs at 3.0 and 3.7 into blocks of at most 300 rows.
+    # 2592 pixels makes bands of at most 7 to 36 rows here, of two heights
+    # where their count does not divide the output height (6 and 7 rows for
+    # formula_image() at 3.7).
     @pytest.mark.parametrize("band_pixels", (300, 2592))
     def test_band_seams_are_exact(self, band_pixels, rng, monkeypatch):
         """Bands of one row, column spans, blocks, and bands that do not
@@ -453,8 +454,8 @@ class TestResizeDispatch:
     @pytest.mark.parametrize("domain", INTENSITY_DOMAINS)
     def test_working_memory_is_banded(self, scheme, domain):
         """A 96x64 -> 1536x1024 resize allocates at most 2 B/px plus 8 MiB,
-        whatever the output size and the CPU count: measured 1.6 to 5.1 MiB
-        in one thread and 1.6 to 7.7 MiB in two with numpy 2.4, the output
+        whatever the output size and the CPU count: measured 1.6 to 5.0 MiB
+        in one thread and 1.6 to 7.6 MiB in two with numpy 2.4, the output
         and one band's buffers and working set per thread, on at most
         ``_bands._THREADS`` threads. Resizing the whole output at once
         took 49 to 236 MiB."""
@@ -469,14 +470,14 @@ class TestResizeDispatch:
     @pytest.mark.parametrize(
         "scheme,domain,shape,ratio,bound",
         [
-            pytest.param("TB", "raw", (64, 96), 4, 16, id="TB-raw-56"),
-            pytest.param("MD", "raw", (64, 96), 4, 16, id="MD-raw-80"),
-            pytest.param("HR", "raw", (64, 96), 4, 16, id="HR-raw-80"),
-            pytest.param("AT", "raw", (64, 96), 4, 33, id="AT-raw-128"),
-            pytest.param("AT", "unit", (64, 96), 4, 34, id="AT-unit-160"),
-            pytest.param("AC", "raw", (64, 96), 4, 30, id="AC-raw-80"),
-            pytest.param("AC", "unit", (64, 96), 4, 31, id="AC-unit-112"),
-            pytest.param("TC", "raw", (64, 96), 4, 18, id="TC-raw-x4"),
+            pytest.param("TB", "raw", (64, 96), 4, 13, id="TB-raw-56"),
+            pytest.param("MD", "raw", (64, 96), 4, 13, id="MD-raw-80"),
+            pytest.param("HR", "raw", (64, 96), 4, 13, id="HR-raw-80"),
+            pytest.param("AT", "raw", (64, 96), 4, 26, id="AT-raw-128"),
+            pytest.param("AT", "unit", (64, 96), 4, 26, id="AT-unit-160"),
+            pytest.param("AC", "raw", (64, 96), 4, 24, id="AC-raw-80"),
+            pytest.param("AC", "unit", (64, 96), 4, 24, id="AC-unit-112"),
+            pytest.param("TC", "raw", (64, 96), 4, 15, id="TC-raw-x4"),
             pytest.param("TC", "raw", (512, 2048), 0.5, 17, id="TC-raw-x0.5"),
             pytest.param("TB", "raw", (2048, 2048), 0.1, 44, id="TB-raw-x0.1"),
             pytest.param("TC", "raw", (2048, 2048), 0.1, 102, id="TC-raw-x0.1"),
@@ -486,18 +487,20 @@ class TestResizeDispatch:
         self, scheme, domain, shape, ratio, bound, monkeypatch
     ):
         """Peak bytes allocated by one resize in one thread, per output
-        pixel. At ratio 4 the output is 384x256, two bands (170 and 86
-        rows), so one float64 grid of a 170-row band is about 5.3 B/px. At
-        ratio 0.5 it is 1024x256, four bands of 64 rows (2 B/px a grid). At
-        ratio 0.1 it is 205x205, one band (8 B/px a grid). Each bound is the
-        peak measured with numpy 2.4 (TB, MD, HR 14.1, AT raw 31.4 and unit
-        32.0, AC raw 28.8 and unit 29.6, TC 16.9 at ratio 4 and 16.0 at
-        ratio 0.5; TB 42.6 and TC 101.0 at ratio 0.1, where the band's
-        buffers are held while its source rows are gathered) plus less than
-        2 B/px, so one more float64 grid of a band fails it. TB, MD and HR
-        took 24.7 B/px, and TB 58.6 at ratio 0.1, with four float64 band
-        arrays each. The black corner runs AT's fallback, its largest path.
-        TC's whole-image horizontal pass took 50.7 B/px at ratio 0.5, and
+        pixel. At ratio 4 the output is 384x256, two bands of 128 rows, so
+        one float64 grid of a band is 4 B/px. At ratio 0.5 it is 1024x256,
+        four bands of 64 rows (2 B/px a grid). At ratio 0.1 it is 205x205,
+        one band (8 B/px a grid). Each bound is the peak measured with numpy
+        2.4 (TB, MD, HR 11.2, AT raw 24.4 and unit 24.6, AC raw 22.0 and
+        unit 22.8, TC 13.5 at ratio 4 and 16.0 at ratio 0.5; TB 42.6 and TC
+        101.0 at ratio 0.1, where the band's buffers are held while its
+        source rows are gathered) plus less than 2 B/px, so one more float64
+        grid of a band fails it. With bands of 170 and 86 rows, and buffers
+        sized for the first, the ratio-4 cases took TB, MD, HR 14.1, AT raw
+        31.4 and unit 32.0, AC raw 28.8 and unit 29.6, and TC 16.9 B/px.
+        TB, MD and HR took 24.7 B/px, and TB 58.6 at ratio 0.1, with four
+        float64 band arrays each. The black corner runs AT's fallback, its
+        largest path. TC's whole-image horizontal pass took 50.7 B/px at ratio 0.5, and
         88.7 at ratio 0.1 while it held a band's gathered source rows; AT's
         and AC's unit values on the four corner grids took 28.9 and 27.0
         B/px, and AT unit 20.7 B/px while it held two corners' values at
@@ -566,8 +569,8 @@ class TestResizeDispatch:
         """AT's and AC's unit values and AC's partial areas v*v + a*a are
         evaluated on the band's left and right column grids, one row per
         source row the band reads, not on its four corner grids. At ratio 4
-        the 384x256 output is cut into bands of at most 170 rows, which read
-        at most 170/4 + 2 source rows."""
+        the 384x256 output is cut into two bands of 128 rows, which read at
+        most 128/4 + 2 source rows."""
         shapes = []
         original_values = interpolate.domain_values
         original_partial = w.ac_partial_areas
@@ -585,8 +588,9 @@ class TestResizeDispatch:
         monkeypatch.setattr(_bands, "_WORKERS", 1)
         out = resize(formula_image(), 4, scheme, domain)
         monkeypatch.undo()
-        band_rows = interpolate._BAND_PIXELS // out.width
-        assert band_rows == 170 and shapes
+        bands = _bands.rows(out.height, out.width, interpolate._BAND_PIXELS, 1)
+        band_rows = max(map(len, bands))
+        assert band_rows == 128 and shapes
         assert all(rows <= band_rows // 4 + 2 and cols == 384 for rows, cols in shapes)
 
     @pytest.mark.parametrize(
@@ -688,16 +692,22 @@ def _band_threads(monkeypatch):
     return threads
 
 
+def _even_spans(n, most):
+    """The lengths of the fewest spans of at most ``most`` that cover n
+    indices, which differ by at most one."""
+    count = -(-n // most)
+    return [n // count + (i < n % count) for i in range(count)]
+
+
 def _expected_threads(count, shape, band_pixels):
     """Threads that round the bands of an output of ``shape``, cut into
-    blocks and bands of ``band_pixels``, with up to ``count`` threads: the
-    calling thread, and per block one helper per chunk after the first,
-    with at most one chunk per two bands."""
+    blocks of at most ``band_pixels`` rows and columns and bands of at most
+    ``band_pixels`` pixels, with up to ``count`` threads: the calling
+    thread, and per block one helper per chunk after the first, with at
+    most one chunk per two bands."""
     helpers = 0
-    for top in range(0, shape[0], band_pixels):
-        height = min(band_pixels, shape[0] - top)
-        for left in range(0, shape[1], band_pixels):
-            width = min(band_pixels, shape[1] - left)
+    for height in _even_spans(shape[0], band_pixels):
+        for width in _even_spans(shape[1], band_pixels):
             bands = -(-height // max(1, band_pixels // width))
             helpers += max(1, min(count, bands // 2)) - 1
     return 1 + helpers
@@ -711,11 +721,12 @@ class TestBandThreads:
     @pytest.mark.parametrize("count", (1, 2, 3, 16))
     @pytest.mark.parametrize("band_pixels", (100, 700))
     def test_outputs_equal_for_any_thread_count(self, count, band_pixels, rng, monkeypatch):
-        """A 60x40 image, cut into blocks of 100 rows and columns (bands of
-        one or two rows), or into bands of 3 and 15 rows (the 148 rows of
-        the 222x148 output end in a band of one), resized by every scheme
-        and domain with up to ``count`` threads (``count`` usable CPUs, and
-        the cap raised to match): every output equals the one-thread output
+        """A 60x40 image, cut into blocks of at most 100 rows and columns
+        (bands of one or two rows), or into bands of at most 3 and 15 rows
+        (the 148 rows of the 222x148 output in 50 bands of 2 or 3), resized
+        by every scheme and domain with up to ``count`` threads (``count``
+        usable CPUs, and the cap raised to match): every output equals the
+        one-thread output
         of one band, the bands of each block ran on as many threads as
         ``_bands.run`` gives, and no thread is left running once
         ``resize`` returns."""
@@ -766,6 +777,26 @@ class TestBandThreads:
         out, peak = allocation_peak(lambda: resize(formula_image(), 16, scheme, "unit"))
         assert len(threads) == _bands._THREADS == 2
         assert peak < 2 * out.pixels.size + 8 * 2**20
+
+    def test_two_threads_take_equal_rows(self, monkeypatch):
+        """A 256x256 -> 768x768 resize (ratio 3) is cut into 10 bands of 76
+        and 77 rows, none above the 85 rows of 2^16 pixels, so its two
+        threads round 384 rows each. With 85-row bands and a last one of 3,
+        they rounded 425 and 343."""
+        monkeypatch.setattr(_bands, "_WORKERS", 2)
+        rows = {}
+        original = interpolate._quantize
+
+        def spied(values, out):
+            thread = threading.current_thread()
+            rows[thread] = rows.get(thread, 0) + len(out)
+            return original(values, out)
+
+        monkeypatch.setattr(interpolate, "_quantize", spied)
+        out = resize(formula_image(256, 256), 3, "TB")
+        assert out.pixels.shape == (768, 768)
+        assert rows[threading.current_thread()] == 384
+        assert sorted(rows.values()) == [384, 384]
 
     def test_helper_error_is_raised_once_every_helper_has_joined(self, monkeypatch):
         """Three threads resize a 97x300 image at ratio 1 in 30 bands of 10

@@ -1,3 +1,4 @@
+import ast
 import functools
 import math
 import os
@@ -10,7 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 import tetrascale
 from tetrascale import SCHEMES, GrayImage, _bands, downsample, metrics, mse, psnr, resize, ssim
 from tetrascale.metrics import (
@@ -147,6 +151,71 @@ class TestSsim:
         assert np.max(np.abs(mine - theirs)) < 1e-9
 
 
+class TestOracle:
+    """``tests/oracle.py`` restates MSE and SSIM from their definitions:
+    scores must match it whatever the shape, the bands and the threads."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        height=st.integers(11, 130),
+        width=st.integers(11, 130),
+        seed=st.integers(0, 2**32 - 1),
+        low=st.integers(0, 255),
+        spread=st.sampled_from((0, 1, 3, 40, 255)),
+        band_pixels=st.sampled_from((0, 1 << 10, 1 << 15)),
+        band_rows=st.integers(1, 70),
+        threads=st.integers(1, 4),
+    )
+    def test_scores_match_oracle_on_any_input(
+        self, height, width, seed, low, spread, band_pixels, band_rows, threads
+    ):
+        """A reference of values in [low, 255] and an output that differs
+        from it by up to ``spread`` per pixel, scored in bands of any height
+        on up to ``threads`` threads: the MSE is the oracle's bit for bit,
+        and the SSIM map and score are within 1e-12 of it. On a bright,
+        nearly flat reference the variance E[x*x] - mu^2 that ``metrics``
+        forms cancels, and its own rounding moved the map by up to 9.0e-13
+        there (400 pairs with values of at least 200 and outputs within 10,
+        or flat), so a reference above 200 gets 4e-12. A C2 larger by a
+        factor 1 + 1e-6, or a sigma of 1.5001, fails it."""
+        rng = np.random.default_rng(seed)
+        shape = (height, width)
+        a = rng.integers(low, 256, shape)
+        b = np.clip(a + rng.integers(-spread, spread + 1, shape), 0, 255)
+        reference, output = GrayImage(a.astype(np.uint8)), GrayImage(b.astype(np.uint8))
+        tolerance = 1e-12 if low <= 200 else 4e-12
+        expected = oracle.ssim_map(reference, output)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_BAND_PIXELS", band_pixels)
+            patch.setattr(metrics, "_MIN_BAND_ROWS", band_rows)
+            patch.setattr(_bands, "_WORKERS", threads)
+            patch.setattr(_bands, "_THREADS", threads)
+            ssim_map = _ssim_map(reference, output)
+            err, _, score = Scorer(reference).score(output)
+        assert np.max(np.abs(ssim_map - expected)) <= tolerance
+        assert err == oracle.mse(reference, output)
+        assert abs(score - float(np.mean(expected))) <= tolerance
+
+    def test_oracle_restates_ssim(self):
+        """``oracle.py`` imports neither ``tetrascale.metrics``, nor what
+        the package re-exports from it, nor scipy, so its window and
+        constants cannot be shared with the code it checks."""
+        imported = []
+        for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported += [f"{node.module}.{alias.name}" for alias in node.names]
+        shared = [
+            name
+            for name in imported
+            if name.split(".")[0] == "scipy"
+            or name.startswith("tetrascale.metrics")
+            or name in {f"tetrascale.{n}" for n in ("mse", "psnr", "ssim", "Scorer")}
+        ]
+        assert imported and shared == []
+
+
 def _scene(height, width):
     """A smooth gradient with a bright disc and a dark bar: edges and flats."""
     yy, xx = np.mgrid[0:height, 0:width]
@@ -172,10 +241,10 @@ def _pairs():
 
 
 def _seam_pairs():
-    """Random references against noisy copies, in shapes whose rows cut the
-    scorer's bands unevenly (2978 + 1022 rows at 11 wide, 64 + 64 + 22 at
-    700 wide), end in a band of one row (129 rows at 512 and 513 wide), or
-    fit in one band, however wide."""
+    """Random references against noisy copies, in shapes that the scorer
+    cuts into several bands (two of 2000 rows at 11 wide, three of 43 rows
+    at 512 and 513 wide, three of 50 at 700 wide), or that fit in one band,
+    however wide."""
     rng = np.random.default_rng(14)
     for height, width in (
         (129, 513), (4000, 11), (11, 4000), (300, 12), (12, 300), (129, 512),
@@ -270,8 +339,8 @@ class TestScorer:
         score = Scorer(reference).score(output)
         assert tuple(float.hex(v) for v in score) == PINNED_SCORES[name]
 
-    # Bands of one row, and of 7 rows, which cut the 37-, 40- and 64-row
-    # images unevenly.
+    # Bands of one row, and of at most 7 rows, which cut the 37-, 40- and
+    # 64-row images into bands of 6 and 7 rows.
     @pytest.mark.parametrize("band_rows", (1, 7))
     def test_band_seams_are_exact(self, band_rows, monkeypatch):
         expected = {name: Scorer(a).score(b) for name, a, b in _pairs()}
@@ -300,12 +369,12 @@ class TestScorer:
         once per band."""
         workers(1)
         calls = self._count_smooths(monkeypatch)
-        # Bands of 20, 20 and 8 rows; with the 5 rows the window reaches on
-        # each side inside the image, slabs of 25, 30 and 13 rows.
+        # Three bands of 16 rows, none above 20; with the 5 rows the window
+        # reaches on each side inside the image, slabs of 21, 26 and 21 rows.
         monkeypatch.setattr(metrics, "_BAND_PIXELS", 0)
         monkeypatch.setattr(metrics, "_MIN_BAND_ROWS", 20)
         reference = _scene(48, 40)
-        slabs = [(25, 40), (30, 40), (13, 40)]
+        slabs = [(21, 40), (26, 40), (21, 40)]
         scorer = Scorer(reference)
         u8, u16 = np.dtype(np.uint8), np.dtype(np.uint16)
         assert calls == [(dtype, s) for s in slabs for dtype in (u8, u16)]
@@ -321,11 +390,11 @@ class TestScorer:
         workers(2)
         calls = self._count_smooths(monkeypatch)
         threads = _smoothing_threads(monkeypatch)
-        # Bands of 10, 10, 10, 10 and 8 rows, in chunks of two and three.
+        # Bands of 9, 10, 9, 10 and 10 rows, in chunks of two and three.
         monkeypatch.setattr(metrics, "_BAND_PIXELS", 0)
         monkeypatch.setattr(metrics, "_MIN_BAND_ROWS", 10)
         reference = _scene(48, 40)
-        slabs = [(15, 40), (20, 40), (20, 40), (20, 40), (13, 40)]
+        slabs = [(14, 40), (20, 40), (19, 40), (20, 40), (15, 40)]
         scorer = Scorer(reference)
         u8, u16 = np.dtype(np.uint8), np.dtype(np.uint16)
         key = lambda call: (call[0].str, call[1])
@@ -343,11 +412,12 @@ class TestScorer:
 
     @pytest.mark.parametrize("count", (1, 2, 3, 16))
     def test_scores_pinned_for_any_thread_count(self, count, monkeypatch, workers):
-        """Bands of 4 rows, which cut every image unevenly or into many
-        bands (37 and 129 rows end in a band of one row), scored by up to
-        ``count`` threads (``count`` usable CPUs, and the cap raised to
-        match): every value keeps its bits, and no thread is left running
-        once the scores return."""
+        """Bands of at most 4 rows, which cut every image into many bands,
+        of two heights where their count does not divide the image's (37
+        rows into ten of 3 and 4 rows), scored by up to ``count`` threads
+        (``count`` usable CPUs, and the cap raised to match): every value
+        keeps its bits, and no thread is left running once the scores
+        return."""
         workers(count)
         monkeypatch.setattr(_bands, "_THREADS", count)
         monkeypatch.setattr(metrics, "_BAND_PIXELS", 0)
@@ -497,11 +567,31 @@ class TestScorer:
         scorer.score(b)
         assert len(threads) == _bands._THREADS == 2
 
+    @pytest.mark.parametrize(
+        "shape,score_bound,ssim_bound",
+        [
+            pytest.param((91, 4000), 32, 48, id="4000x91"),
+            pytest.param((130, 512), 25, 41, id="512x130"),
+        ],
+    )
+    def test_short_image_allocation_peak_per_pixel(self, shape, score_bound, ssim_bound, workers):
+        """An image only a few bands high is cut into even bands, whose
+        arrays are sized for the largest: 45 and 46 rows at 4000x91, 43, 43
+        and 44 at 512x130. Measured in one thread with numpy 2.4 and scipy
+        1.17: 30.3 B/px for a score and 46.3 for ``ssim`` at 4000x91, 23.5
+        and 39.5 at 512x130. Each bound adds less than 2 B/px. Bands of 64
+        rows and a shorter last one, with arrays sized for the first, took
+        38.6 and 54.6, and 29.9 and 46.0. At 33000x11 the one band is the
+        whole image, so its peak stays 50.1 and 66.1 B/px."""
+        workers(1)
+        assert self._allocation_peak_per_pixel(self._SCORE, shape) < score_bound
+        assert self._allocation_peak_per_pixel(self._SSIM, shape) < ssim_bound
+
     @pytest.mark.parametrize("shape", ((91, 4000), (11, 33000)), ids=("4000x91", "33000x11"))
     def test_short_wide_images_take_no_more_in_two_threads(self, shape, monkeypatch, workers):
         """An image of at most three bands is scored in the calling thread,
         so a second usable CPU adds nothing to its peak (one thread:
-        38.6 B/px for a score and 54.6 for ``ssim`` at 4000x91, 50.1 and
+        30.3 B/px for a score and 46.3 for ``ssim`` at 4000x91, 50.1 and
         66.1 at 33000x11)."""
         threads = _smoothing_threads(monkeypatch)
         workers(1)
