@@ -189,26 +189,35 @@ def run_benchmark(config: BenchConfig):
     if config.save_images:
         images_dir.mkdir(parents=True, exist_ok=True)
     for path in files:
-        reference = load_image(path)
-        scorer = Scorer(reference)
-        image_id = path.stem
-        for ratio in config.ratios:
-            low = _lowres_input(config, path, reference, ratio)
-            for tag in config.algorithms:
-                elapsed, output = time_algorithm(
-                    low, ratio, tag, config.repetitions, config.intensity_domain
-                )
-                if (output.width, output.height) != (reference.width, reference.height):
-                    raise ValueError(
-                        f"{image_id}: upscaled size {output.width}x{output.height}"
-                        f" != reference {reference.width}x{reference.height}"
-                    )
-                records.append(
-                    BenchRecord(image_id, tag, ratio, *scorer.score(output), elapsed)
-                )
-                if config.save_images:
-                    save_pgm(output, images_dir / f"{image_id}_{tag}_x{ratio}.pgm")
+        records += _reference_records(config, path, images_dir)
     return records, aggregate(records, config.algorithms, config.ratios)
+
+
+def _reference_records(config: BenchConfig, path: Path, images_dir: Path) -> list:
+    """The records of one reference image, by ratio, then algorithm. Its
+    ``Scorer`` lives only in this call, so one reference's smoothed maps are
+    freed before the next reference's are built."""
+    reference = load_image(path)
+    scorer = Scorer(reference)
+    image_id = path.stem
+    records = []
+    for ratio in config.ratios:
+        low = _lowres_input(config, path, reference, ratio)
+        for tag in config.algorithms:
+            elapsed, output = time_algorithm(
+                low, ratio, tag, config.repetitions, config.intensity_domain
+            )
+            if (output.width, output.height) != (reference.width, reference.height):
+                raise ValueError(
+                    f"{image_id}: upscaled size {output.width}x{output.height}"
+                    f" != reference {reference.width}x{reference.height}"
+                )
+            records.append(
+                BenchRecord(image_id, tag, ratio, *scorer.score(output), elapsed)
+            )
+            if config.save_images:
+                save_pgm(output, images_dir / f"{image_id}_{tag}_x{ratio}.pgm")
+    return records
 
 
 def aggregate(records, algorithms, ratios) -> list:

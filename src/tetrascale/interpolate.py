@@ -5,8 +5,10 @@ normalized geometric schemes MD, HR, AT, AC. AT and AC additionally take an
 intensity domain: ``raw`` feeds corner values in [0, 255] into the weight
 geometry, ``unit`` divides them by 255 first. ``_WEIGHTS`` maps every tag to
 how its 2x2 corner weights are computed (``None`` for TN and TC, which have
-their own paths); ``SCHEMES`` is its key order. ``resize`` is the one entry
-point.
+their own paths); ``SCHEMES`` is its key order. An entry is plain data: a
+step the scheme does not take is None, so TB's, MD's and HR's entries hold
+only their position-only arrays, which are their weights. ``resize`` is the
+one entry point.
 
 Coordinates are pixel-centered: src = (dst + 0.5) / scale - 0.5. Boundaries
 replicate the edge pixel. Each output pixel is quantized once by the rule in
@@ -72,32 +74,19 @@ class _Weights(NamedTuple):
     when it has none (AC). ``values(dx, left, right, intensity_domain)``
     gives its value-only terms on the band's left and right uint8 column
     grids (the source rows it reads, at its x0 and x0 + 1 columns), one
-    array for each, or None when it needs none beyond the corners.
+    array for each, or None when it needs none beyond the corners; the
+    field is None for a scheme that reads no intensity (TB, MD, HR).
     ``weights(dx, dy, g, corners, terms)`` gives a band's four weights from
     ``g``, the band's rows of the position-only arrays (None for AC),
     ``corners``, its uint8 corner grids, and ``terms``, each corner's
     value-only terms (None when there are none); ``corners`` and ``terms``
-    are iterables read at most once, in corner order.
+    are iterables read at most once, in corner order. The field is None
+    when the position-only arrays are the weights (TB, MD, HR).
     """
 
     position: Callable | None
-    values: Callable
-    weights: Callable
-
-
-def _no_values(dx, left, right, d):
-    """The value-only terms of a scheme that reads no intensity: none."""
-    return None
-
-
-def _position_only(dx, dy, g, p, t):
-    """The weights of a scheme whose position-only arrays are its weights."""
-    return g
-
-
-def _positional(weights):
-    """The table entry of a scheme whose weights depend on position alone."""
-    return _Weights(weights, _no_values, _position_only)
+    values: Callable | None = None
+    weights: Callable | None = None
 
 
 #: Tag -> ``_Weights``, or None for the schemes with their own path (TN,
@@ -105,10 +94,10 @@ def _positional(weights):
 #: import, so a replaced module attribute is the one that runs.
 _WEIGHTS = {
     "TN": None,
-    "TB": _positional(lambda dx, dy: _w.tetragon_weights(dx, dy)),
+    "TB": _Weights(lambda dx, dy: _w.tetragon_weights(dx, dy)),
     "TC": None,
-    "MD": _positional(lambda dx, dy: _w.md_weights(dx, dy)),
-    "HR": _positional(lambda dx, dy: _w.hr_weights(dx, dy)),
+    "MD": _Weights(lambda dx, dy: _w.md_weights(dx, dy)),
+    "HR": _Weights(lambda dx, dy: _w.hr_weights(dx, dy)),
     "AT": _Weights(
         lambda dx, dy: _w.at_half_hypotenuses(dx, dy),
         # Raw values are the uint8 corners themselves.
@@ -133,7 +122,8 @@ MAX_OUTPUT_PIXELS = 1 << 26
 
 #: Output pixels per band, rounded to whole rows. Whole-image or 4-row bands
 #: were both about 2x slower than bands of 2^15. At 2^15 each numpy call of a
-#: band lasts only 10-30 us, so two threads saved nothing; 2^16 lets them save
+#: band lasts only 10-30 us, so two threads saved nothing, and at 2^14 two
+#: threads took twice as long as one (2-core VM); 2^16 lets them save
 #: 16-32%, and costs one thread 1-2%. Also the longest side of a block, and
 #: the most pixels a block's position table may hold.
 _BAND_PIXELS = 1 << 16
@@ -303,7 +293,7 @@ def _weighted_field(plan: _Plan, band: slice, floats, corner) -> np.ndarray:
     scheme = _WEIGHTS[plan.scheme]
     if plan.table is not None:
         inverse, arrays = plan.table
-        if scheme.weights is _position_only:
+        if scheme.weights is None:
             # The rows are the weights, so each is gathered only as it is
             # summed: the first into floats[0], each later one into floats[1].
             outs = (floats[0], *[floats[1]] * 3)
@@ -318,10 +308,10 @@ def _weighted_field(plan: _Plan, band: slice, floats, corner) -> np.ndarray:
     # band reads; each corner gathers its rows of them as it is weighted.
     # AC's partial areas, which become its weights, are gathered into
     # ``floats``, which it has no position-only arrays to fill.
-    terms = scheme.values(dx, left, right, plan.intensity_domain)
+    terms = None if scheme.values is None else scheme.values(dx, left, right, plan.intensity_domain)
     if terms is not None:
-        terms = _corner_rows(*terms, yt, yb, floats if g is None else (None,) * 4)
-    weights = scheme.weights(dx, dy, g, corners(), terms)
+        terms = _corner_rows(*terms, yt, yb, floats if scheme.position is None else (None,) * 4)
+    weights = g if scheme.weights is None else scheme.weights(dx, dy, g, corners(), terms)
     # ((w1*p1 + w2*p2) + w3*p3) + w4*p4, the oracle's order, in the weight
     # arrays.
     weights, p = iter(weights), corners()
@@ -394,7 +384,7 @@ def _band_buffers(plan: _Plan, rows: int) -> tuple:
     shape = (rows, len(plan.x_taps[0]))
     if plan.scheme == "TC":
         return (np.empty((2, *shape)),)
-    floats = 2 if _WEIGHTS[plan.scheme].weights is _position_only else 4
+    floats = 2 if _WEIGHTS[plan.scheme].weights is None else 4
     return np.empty((floats, *shape)), np.empty(shape, dtype=np.uint8)
 
 

@@ -4,11 +4,13 @@ for the metrics.
 Each output pixel is computed on its own, in plain Python floats, straight
 from the paper's definitions: the 2x2 neighborhood around a continuous
 source coordinate, its weight vector, and one quantization. The weighting
-schemes are restated here (``pixel_weights``) rather than taken from
-``tetrascale.weights``, so a wrong formula there shows as a mismatch.
+schemes (``pixel_weights``) and Keys' cubic kernel (``cubic_weight``) are
+restated here rather than taken from ``tetrascale``, so a wrong formula
+there shows as a mismatch.
 ``resize`` evaluates the same formulas over whole grids with numpy and must
 reproduce this byte for byte: every step is one correctly rounded ``+ - * /``
-or ``sqrt``, taken in numpy's order (``x * x``, never ``x ** 2``).
+or ``sqrt``, taken in numpy's order (``x * x``, never ``x ** 2``), apart
+from TC's cube (``cubic_weight``).
 
 ``mse`` and ``ssim_map`` restate the metrics from their definitions, without
 ``tetrascale.metrics`` or scipy: MSE in exact integer arithmetic, which
@@ -23,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from tetrascale import GrayImage
-from tetrascale.interpolate import _output_length, cubic_kernel, map_dst_to_src
+from tetrascale.interpolate import _output_length, map_dst_to_src
 
 #: Weight sums below this are degenerate: the tetragon weights are used.
 EPSILON = 1e-12
@@ -141,7 +143,8 @@ def reference_resize(image, ratio, scheme, intensity_domain="raw"):
                 out[y, x] = image.pixels[iy, ix]
                 continue
             if scheme == "TC":
-                out[y, x] = _reference_bicubic_pixel(image, sx, sy)
+                acc = bicubic_sum(image, sx, sy)
+                out[y, x] = int(min(max(float(round_half_away(acc)), 0.0), 255.0))
                 continue
             n = gather_neighborhood(image, sx, sy)
             values = n.values
@@ -152,19 +155,38 @@ def reference_resize(image, ratio, scheme, intensity_domain="raw"):
     return GrayImage(out)
 
 
-def _reference_bicubic_pixel(image, sx, sy):
-    # Mirrors the separable order: horizontal pass first, then vertical.
+def cubic_weight(t):
+    """Keys' cubic-convolution kernel (a = -0.5) at offset ``t``.
+
+    The cube is libm's ``pow``, as numpy takes it on a scalar; numpy's
+    ``**3`` on an array can round it one ulp away, so ``resize``'s TC
+    field agrees with ``bicubic_sum`` only to about 1e-12 before rounding.
+    """
+    a = -0.5
+    at = abs(t)
+    if at <= 1.0:
+        return (a + 2.0) * at**3 - (a + 3.0) * (at * at) + 1.0
+    if at < 2.0:
+        return a * at**3 - 5.0 * a * (at * at) + 8.0 * a * at - 4.0 * a
+    return 0.0
+
+
+def bicubic_sum(image, sx, sy):
+    """TC's pre-rounding value at source coordinate (sx, sy): each of the
+    four rows y0 - 1..y0 + 2 summed over its four columns, then the rows
+    summed, each in tap order (the separable order: horizontal, then
+    vertical)."""
     x0 = math.floor(sx)
     y0 = math.floor(sy)
     acc = 0.0
     for j in range(-1, 3):
-        ky = float(cubic_kernel((sy - y0) - j))
+        ky = cubic_weight((sy - y0) - j)
         row = 0.0
         for i in range(-1, 3):
-            kx = float(cubic_kernel((sx - x0) - i))
+            kx = cubic_weight((sx - x0) - i)
             row += kx * get_clamped(image, x0 + i, y0 + j)
         acc += ky * row
-    return int(min(max(float(round_half_away(acc)), 0.0), 255.0))
+    return acc
 
 
 #: SSIM's window and constants: an 11-tap Gaussian of sigma 1.5, K1 = 0.01,

@@ -1,5 +1,6 @@
 import csv
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,29 @@ class TestRunBenchmark:
             assert agg.mean_ssim == pytest.approx(
                 sum(r.ssim for r in group) / 3, rel=1e-12
             )
+
+    def test_one_scorer_alive_at_a_time(self, tmp_path, monkeypatch):
+        """Each reference's ``Scorer`` is freed before the next one is
+        built, so a run holds one reference's smoothed maps at a time."""
+        built, alive = [], []
+
+        class Spy(bench_mod.Scorer):
+            def __init__(self, reference):
+                alive.append(sum(ref() is not None for ref in built))
+                super().__init__(reference)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(bench_mod, "Scorer", Spy)
+        corpus = make_corpus(tmp_path / "c", 3, size=16)
+        cfg = BenchConfig(
+            corpus_dir=corpus,
+            output_dir=tmp_path / "out",
+            ratios=(2,),
+            algorithms=("TB",),
+            repetitions=1,
+        )
+        run_benchmark(cfg)
+        assert alive == [0, 0, 0]
 
     def test_reference_not_divisible_by_ratio(self, tmp_path):
         corpus = tmp_path / "c"

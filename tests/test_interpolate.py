@@ -862,10 +862,23 @@ class TestOracle:
         ref = reference_resize(img, ratio, scheme, domain)
         assert np.array_equal(out.pixels, ref.pixels)
 
+    @pytest.mark.parametrize("ratio", (3.0, 1.5, 0.75, 3.7))
+    def test_bicubic_field_is_the_oracle_sum(self, ratio, rng):
+        """TC's field before rounding is the oracle's sums, not just after
+        rounding, up to the ulp by which numpy's array cube and libm's
+        ``pow`` can differ (``oracle.cubic_weight``)."""
+        img = GrayImage(rng.integers(0, 256, (24, 24)).astype(np.uint8))
+        field = whole_field(img, ratio, "TC")
+        sx = [map_dst_to_src(x, ratio) for x in range(field.shape[1])]
+        sy = [map_dst_to_src(y, ratio) for y in range(field.shape[0])]
+        expected = [[oracle.bicubic_sum(img, x, y) for x in sx] for y in sy]
+        assert np.max(np.abs(field - np.array(expected))) <= 1e-12
+
     def test_oracle_restates_the_weights(self):
-        """``oracle.py`` has its own copy of the weighting formulas and of
-        the intensity domain: it imports neither ``tetrascale.weights`` nor
-        ``domain_values``, so a wrong formula cannot hide by being shared."""
+        """``oracle.py`` has its own copy of the weighting formulas, of the
+        cubic kernel and of the intensity domain: it imports neither
+        ``tetrascale.weights``, ``cubic_kernel`` nor ``domain_values``, so a
+        wrong formula cannot hide by being shared."""
         tree = ast.parse(Path(oracle.__file__).read_text())
         imported = []
         for node in ast.walk(tree):
@@ -873,11 +886,10 @@ class TestOracle:
                 imported += [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 imported += [f"{node.module}.{alias.name}" for alias in node.names]
-        assert "tetrascale.interpolate.cubic_kernel" in imported
         shared = [
             name
             for name in imported
             if name.startswith("tetrascale.weights")
-            or name.rsplit(".", 1)[-1] in ("weights", "_w", "domain_values")
+            or name.rsplit(".", 1)[-1] in ("weights", "_w", "domain_values", "cubic_kernel")
         ]
         assert shared == []
