@@ -38,14 +38,16 @@ block's largest band, as ``_bands.run`` sizes them; what a band evaluates
 itself is in smaller, fresh arrays. ``resize`` hands the finished output
 to ``GrayImage`` read-only and without a copy (``image._adopt``).
 
-A band reads only the source rows its taps reach (``_band_source``). The
-2x2 path (``_weighted_field``) gathers the left and right source columns,
-evaluates AT's and AC's value-only terms on them once per source row, then
-gathers each corner's rows of the terms and its uint8 grid, one corner at a
-time, and sums ((w1*p1 + w2*p2) + w3*p3) + w4*p4 in the weight buffers. TC
-(``_bicubic_field``) runs its horizontal pass, then its vertical pass, each
-summing its four taps in tap order. Each field is rounded straight into its
-rows of the output.
+A band reads only the source rows its taps reach, and one function,
+``_band_source``, gathers its column grids from them: the left and right
+columns of the 2x2 schemes, TC's four. The 2x2 path (``_weighted_field``)
+evaluates AT's and AC's value-only terms on those grids once per source
+row, then gathers each corner's rows of the terms and its uint8 grid, one
+corner at a time. TC (``_bicubic_field``) runs its horizontal pass, then
+its vertical pass. One function, ``_ordered_sum``, adds every field's terms
+in the oracle's order: ((w1*p1 + w2*p2) + w3*p3) + w4*p4 in the weight
+buffers, and each cubic pass's four taps in tap order. Each field is
+rounded straight into its rows of the output.
 
 Every pixel's arithmetic is the same whatever the block, the band, the
 thread, the table or the grid a term is evaluated on. ``tests/oracle.py``
@@ -223,27 +225,28 @@ def _plan(
     )
 
 
-def _band_source(pixels: np.ndarray, y_taps, band: slice):
+def _band_source(pixels: np.ndarray, y_taps, x_taps, band: slice):
     """The band's row taps, as indices into the source rows it reads, and
-    those rows.
+    its column grids: those rows at each x tap, one uint8 grid per tap.
 
-    Taps grow with the output index and the offset, so the first and last
-    taps bound the band: its source is that slice of ``pixels``. When the
-    taps number fewer than the rows they span (a strong downscale), only
-    the rows they reach are gathered, in order, and the taps are
-    renumbered to match.
+    This is the one place a band's source is gathered. Taps grow with the
+    output index and the offset, so the first and last row taps bound the
+    band: its rows are that slice of ``pixels``. When the taps number fewer
+    than the rows they span (a strong downscale), only the rows they reach
+    are compressed out, in order, and the taps are renumbered to match.
     """
     taps = [t[band] for t in y_taps]
     top, bottom = taps[0][0], taps[-1][-1] + 1
     taps = [t - top for t in taps]
-    if sum(t.size for t in taps) >= bottom - top:
-        return taps, pixels[top:bottom]
-    reached = np.zeros(bottom - top, dtype=bool)
-    for t in taps:
-        reached[t] = True
-    # Each reached row's position among the reached rows, in order.
-    position = np.cumsum(reached) - 1
-    return [position[t] for t in taps], np.compress(reached, pixels[top:bottom], axis=0)
+    rows = pixels[top:bottom]
+    if sum(t.size for t in taps) < bottom - top:
+        reached = np.zeros(bottom - top, dtype=bool)
+        for t in taps:
+            reached[t] = True
+        # Each reached row's position among the reached rows, in order.
+        position = np.cumsum(reached) - 1
+        taps, rows = [position[t] for t in taps], np.compress(reached, rows, axis=0)
+    return taps, [np.take(rows, x, axis=1) for x in x_taps]
 
 
 def _take_rows(array, taps, out):
@@ -266,6 +269,23 @@ def _corner_rows(left, right, yt, yb, out):
         yield _take_rows(columns, taps, o)
 
 
+def _ordered_sum(terms, factors) -> np.ndarray:
+    """The sum of each term times its factor, added in order: one cubic
+    pass's four taps times their coefficients, or a 2x2 field's four
+    weights times their corners. ``terms`` and ``factors`` are iterables
+    read once, a term before its factor. Every field's terms are summed
+    here. A float64 term is multiplied in place and the sum kept in the
+    first; a uint8 one is promoted into a fresh array."""
+    acc = None
+    for term, factor in zip(terms, factors):
+        term = np.multiply(term, factor, out=term if term.dtype == np.float64 else None)
+        if acc is None:
+            acc = term
+        else:
+            acc += term
+    return acc
+
+
 def _weighted_field(plan: _Plan, band: slice, floats, corner) -> np.ndarray:
     """Pre-quantization float output of the block rows ``band`` of a 2x2
     weighted-sum resize.
@@ -280,10 +300,7 @@ def _weighted_field(plan: _Plan, band: slice, floats, corner) -> np.ndarray:
     there is no table, AT's unit values, the normalizing sums) is in fresh
     arrays.
     """
-    (yt, yb), source = _band_source(plan.pixels, plan.y_taps, band)
-    left, right = (np.take(source, x, axis=1) for x in plan.x_taps)
-    # At a strong downscale the source is a copy, wider than the band.
-    del source
+    (yt, yb), (left, right) = _band_source(plan.pixels, plan.y_taps, plan.x_taps, band)
 
     def corners():
         """Each corner's grid in turn, P1..P4, in ``corner``."""
@@ -314,12 +331,7 @@ def _weighted_field(plan: _Plan, band: slice, floats, corner) -> np.ndarray:
     weights = g if scheme.weights is None else scheme.weights(dx, dy, g, corners(), terms)
     # ((w1*p1 + w2*p2) + w3*p3) + w4*p4, the oracle's order, in the weight
     # arrays.
-    weights, p = iter(weights), corners()
-    acc = next(weights)
-    np.multiply(acc, next(p), out=acc)
-    for wk, pk in zip(weights, p):
-        acc += np.multiply(wk, pk, out=wk)
-    return acc
+    return _ordered_sum(weights, corners())
 
 
 def _nearest(image: GrayImage, ratio: float, shape: tuple[int, int]) -> np.ndarray:
@@ -343,21 +355,6 @@ def cubic_kernel(t):
     return np.where(at <= 1.0, inner, np.where(at < 2.0, outer, 0.0))
 
 
-def _cubic_sum(terms, coefficients) -> np.ndarray:
-    """One cubic pass: the samples of each of the four taps, ``terms``
-    (an iterable read once in tap order), times its coefficient, summed in
-    tap order."""
-    acc = None
-    for term, coefficient in zip(terms, coefficients):
-        # A float64 tap is multiplied in place; a uint8 one is promoted.
-        term = np.multiply(term, coefficient, out=term if term.dtype == np.float64 else None)
-        if acc is None:
-            acc = term
-        else:
-            acc += term
-    return acc
-
-
 def _bicubic_field(plan: _Plan, band: slice, floats) -> np.ndarray:
     """Pre-quantization float output of the block rows ``band`` of the
     separable bicubic resize: the horizontal pass over the source rows the
@@ -365,15 +362,12 @@ def _bicubic_field(plan: _Plan, band: slice, floats) -> np.ndarray:
     float64 arrays of the band's shape: the vertical pass sums its first
     tap in place in ``floats[0]``, which is the field returned, and gathers
     each later tap into ``floats[1]`` once the one before it is added."""
-    taps, source = _band_source(plan.pixels, plan.y_taps, band)
-    columns = [np.take(source, x, axis=1) for x in plan.x_taps]
-    # At a strong downscale the source is a copy, wider than the band.
-    del source
-    horizontal = _cubic_sum(columns, plan.x_factors)
+    taps, columns = _band_source(plan.pixels, plan.y_taps, plan.x_taps, band)
+    horizontal = _ordered_sum(columns, plan.x_factors)
     del columns
     first, later = floats
     rows = (_take_rows(horizontal, t, o) for t, o in zip(taps, (first, later, later, later)))
-    return _cubic_sum(rows, [c[band] for c in plan.y_factors])
+    return _ordered_sum(rows, [c[band] for c in plan.y_factors])
 
 
 def _band_buffers(plan: _Plan, rows: int) -> tuple:

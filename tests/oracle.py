@@ -3,10 +3,11 @@ for the metrics.
 
 Each output pixel is computed on its own, in plain Python floats, straight
 from the paper's definitions: the 2x2 neighborhood around a continuous
-source coordinate, its weight vector, and one quantization. The weighting
-schemes (``pixel_weights``) and Keys' cubic kernel (``cubic_weight``) are
-restated here rather than taken from ``tetrascale``, so a wrong formula
-there shows as a mismatch.
+source coordinate, its weight vector, and one quantization. The pixel grid
+(``output_length``, ``source_coordinate``), the weighting schemes
+(``pixel_weights``) and Keys' cubic kernel (``cubic_weight``) are restated
+here rather than taken from ``tetrascale``, so a wrong formula there shows
+as a mismatch.
 ``resize`` evaluates the same formulas over whole grids with numpy and must
 reproduce this byte for byte: every step is one correctly rounded ``+ - * /``
 or ``sqrt``, taken in numpy's order (``x * x``, never ``x ** 2``), apart
@@ -25,10 +26,21 @@ from typing import NamedTuple
 import numpy as np
 
 from tetrascale import GrayImage
-from tetrascale.interpolate import _output_length, map_dst_to_src
 
 #: Weight sums below this are degenerate: the tetragon weights are used.
 EPSILON = 1e-12
+
+
+def output_length(n, ratio):
+    """Output pixels along an axis of ``n`` source pixels at ``ratio``:
+    n * ratio rounded half up, and at least one."""
+    return max(1, math.floor(n * ratio + 0.5))
+
+
+def source_coordinate(dst, ratio):
+    """Continuous source coordinate of the center of output pixel ``dst``:
+    pixel centers line up, so src = (dst + 0.5) / ratio - 0.5."""
+    return (dst + 0.5) / ratio - 0.5
 
 
 def get_clamped(image: GrayImage, col: int, row: int) -> int:
@@ -130,13 +142,13 @@ def reference_resize(image, ratio, scheme, intensity_domain="raw"):
     """
     if intensity_domain not in ("raw", "unit"):
         raise ValueError(f"unknown intensity domain {intensity_domain!r}")
-    out_w = _output_length(image.width, ratio)
-    out_h = _output_length(image.height, ratio)
+    out_w = output_length(image.width, ratio)
+    out_h = output_length(image.height, ratio)
     out = np.empty((out_h, out_w), dtype=np.uint8)
     for y in range(out_h):
-        sy = map_dst_to_src(y, ratio)
+        sy = source_coordinate(y, ratio)
         for x in range(out_w):
-            sx = map_dst_to_src(x, ratio)
+            sx = source_coordinate(x, ratio)
             if scheme == "TN":
                 ix = min(max(int(round_half_away(sx)), 0), image.width - 1)
                 iy = min(max(int(round_half_away(sy)), 0), image.height - 1)

@@ -480,6 +480,8 @@ class TestResizeDispatch:
             pytest.param("TC", "raw", (64, 96), 4, 15, id="TC-raw-x4"),
             pytest.param("TC", "raw", (512, 2048), 0.5, 17, id="TC-raw-x0.5"),
             pytest.param("TB", "raw", (2048, 2048), 0.1, 44, id="TB-raw-x0.1"),
+            pytest.param("AT", "raw", (2048, 2048), 0.1, 60, id="AT-raw-x0.1"),
+            pytest.param("AC", "unit", (2048, 2048), 0.1, 105, id="AC-unit-x0.1"),
             pytest.param("TC", "raw", (2048, 2048), 0.1, 102, id="TC-raw-x0.1"),
         ],
     )
@@ -492,12 +494,17 @@ class TestResizeDispatch:
         four bands of 64 rows (2 B/px a grid). At ratio 0.1 it is 205x205,
         one band (8 B/px a grid). Each bound is the peak measured with numpy
         2.4 (TB, MD, HR 11.2, AT raw 24.4 and unit 24.6, AC raw 22.0 and
-        unit 22.8, TC 13.5 at ratio 4 and 16.0 at ratio 0.5; TB 42.6 and TC
-        101.0 at ratio 0.1, where the band's buffers are held while its
-        source rows are gathered) plus less than 2 B/px, so one more float64
-        grid of a band fails it. With bands of 170 and 86 rows, and buffers
-        sized for the first, the ratio-4 cases took TB, MD, HR 14.1, AT raw
-        31.4 and unit 32.0, AC raw 28.8 and unit 29.6, and TC 16.9 B/px.
+        unit 22.8, TC 13.5 at ratio 4 and 16.0 at ratio 0.5; TB 42.6, AT raw
+        58.6, AC unit 104.0 and TC 101.0 at ratio 0.1, where the band's
+        buffers are held while its source rows are gathered, and AT's and
+        AC's value terms live on column grids as tall as the band's source
+        rows) plus less than 2 B/px, so one more float64 grid of a band
+        fails it. Since ``_band_source`` also gathers the column grids, its
+        row renumbering lives through those gathers: TB reads 43.1 and AT
+        raw 59.1 at ratio 0.1, the others the same. With bands of 170 and
+        86 rows, and buffers sized for the first, the ratio-4 cases took TB,
+        MD, HR 14.1, AT raw 31.4 and unit 32.0, AC raw 28.8 and unit 29.6,
+        and TC 16.9 B/px.
         TB, MD and HR took 24.7 B/px, and TB 58.6 at ratio 0.1, with four
         float64 band arrays each. The black corner runs AT's fallback, its
         largest path. TC's whole-image horizontal pass took 50.7 B/px at ratio 0.5, and
@@ -869,16 +876,20 @@ class TestOracle:
         ``pow`` can differ (``oracle.cubic_weight``)."""
         img = GrayImage(rng.integers(0, 256, (24, 24)).astype(np.uint8))
         field = whole_field(img, ratio, "TC")
-        sx = [map_dst_to_src(x, ratio) for x in range(field.shape[1])]
-        sy = [map_dst_to_src(y, ratio) for y in range(field.shape[0])]
+        assert field.shape == (oracle.output_length(24, ratio),) * 2
+        sx = [oracle.source_coordinate(x, ratio) for x in range(field.shape[1])]
+        sy = [oracle.source_coordinate(y, ratio) for y in range(field.shape[0])]
         expected = [[oracle.bicubic_sum(img, x, y) for x in sx] for y in sy]
         assert np.max(np.abs(field - np.array(expected))) <= 1e-12
 
     def test_oracle_restates_the_weights(self):
         """``oracle.py`` has its own copy of the weighting formulas, of the
-        cubic kernel and of the intensity domain: it imports neither
-        ``tetrascale.weights``, ``cubic_kernel`` nor ``domain_values``, so a
-        wrong formula cannot hide by being shared."""
+        cubic kernel, of the intensity domain and of the pixel grid: it
+        imports neither ``tetrascale.weights`` nor anything of
+        ``tetrascale.interpolate`` (``cubic_kernel``, ``domain_values``,
+        ``map_dst_to_src``, ``_output_length``), nor what the package
+        re-exports from it, so a wrong formula cannot hide by being
+        shared."""
         tree = ast.parse(Path(oracle.__file__).read_text())
         imported = []
         for node in ast.walk(tree):
@@ -889,7 +900,8 @@ class TestOracle:
         shared = [
             name
             for name in imported
-            if name.startswith("tetrascale.weights")
+            if name.startswith(("tetrascale.weights", "tetrascale.interpolate"))
             or name.rsplit(".", 1)[-1] in ("weights", "_w", "domain_values", "cubic_kernel")
+            or name in {f"tetrascale.{n}" for n in ("resize", "SCHEMES", "INTENSITY_DOMAINS")}
         ]
         assert shared == []
