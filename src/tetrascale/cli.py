@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: resize, metrics, bench, report. Exit codes: 0 success,
-1 usage error, 2 I/O error, 3 data error.
+1 usage error, 2 I/O error, 3 data error (running out of memory included).
 """
 
 from __future__ import annotations
@@ -183,8 +183,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"tetrascale: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (FormatError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"tetrascale: error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:
+        print(f"tetrascale: out of memory: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

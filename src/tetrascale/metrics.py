@@ -47,7 +47,7 @@ import math
 
 import numpy as np
 
-from . import _bands
+from . import _bands, interpolate
 from .image import GrayImage
 
 SSIM_WINDOW_SIZE = 11
@@ -94,16 +94,16 @@ def psnr(a: GrayImage, b: GrayImage) -> float:
     return _psnr(mse(a, b))
 
 
-def _gaussian_1d(size: int, sigma: float) -> np.ndarray:
-    offsets = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-    g = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
-    return g / g.sum()
-
-
-_WINDOW = _gaussian_1d(SSIM_WINDOW_SIZE, SSIM_SIGMA)
-
 #: Rows the window reaches on each side of a pixel.
 _HALO = SSIM_WINDOW_SIZE // 2
+
+#: The 1-D Gaussian SSIM applies along each axis, normalized to sum 1. Its
+#: taps come from libm's ``math.exp``, one at a time, so their bits cannot
+#: depend on the SIMD kernels numpy dispatches for ``np.exp``.
+_WINDOW = np.array([
+    math.exp(-(k * k) / (2.0 * SSIM_SIGMA * SSIM_SIGMA)) for k in range(-_HALO, _HALO + 1)
+])
+_WINDOW /= sum(_WINDOW)
 
 #: A band of whole rows holds at most this many pixels, or at most
 #: ``_MIN_BAND_ROWS`` rows where that is more, so the band's float64 arrays
@@ -145,16 +145,20 @@ def _smooth(slab: np.ndarray, offset: int, out: np.ndarray, buf: np.ndarray) -> 
 class Scorer:
     """MSE, PSNR and SSIM of same-size outputs against one reference image.
 
-    Raises ValueError on construction if the reference is smaller than the
-    SSIM window, and in ``score`` if an output's size differs from it.
+    Raises ValueError on construction, before anything is allocated, if the
+    reference is smaller than the SSIM window or has more pixels than
+    ``interpolate.MAX_OUTPUT_PIXELS``, the limit ``resize`` puts on an
+    output; and in ``score`` if an output's size differs from it.
     """
 
     def __init__(self, reference: GrayImage):
+        label = f"image {reference.width}x{reference.height}"
         if min(reference.width, reference.height) < SSIM_WINDOW_SIZE:
             raise ValueError(
-                f"image {reference.width}x{reference.height} smaller than the "
-                f"{SSIM_WINDOW_SIZE}x{SSIM_WINDOW_SIZE} SSIM window"
+                f"{label} smaller than the {SSIM_WINDOW_SIZE}x{SSIM_WINDOW_SIZE} SSIM window"
             )
+        if reference.width * reference.height > interpolate.MAX_OUTPUT_PIXELS:
+            raise ValueError(f"{label} exceeds {interpolate.MAX_OUTPUT_PIXELS} pixels")
         self.reference = reference
         height, width = reference.pixels.shape
         self._bands = _bands.rows(height, width, _BAND_PIXELS, _MIN_BAND_ROWS)

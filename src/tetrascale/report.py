@@ -120,6 +120,23 @@ def _format_value(v: float) -> str:
     return f"{v:.4g}"
 
 
+def _element(name: str, body=None, **attributes) -> str:
+    """One SVG element, its attributes in the order given.
+
+    An underscore in an attribute name is written as a hyphen, and a
+    trailing one is dropped (``class_`` for ``class``). With no body the
+    element closes itself.
+    """
+    attrs = "".join(f' {k.rstrip("_").replace("_", "-")}="{v}"' for k, v in attributes.items())
+    return f"<{name}{attrs}/>" if body is None else f"<{name}{attrs}>{body}</{name}>"
+
+
+def _text(x, y, size, body, text_anchor="middle", **attributes) -> str:
+    """One sans-serif label of font size ``size``, anchored at (x, y)."""
+    font = dict(font_family="sans-serif", font_size=size)
+    return _element("text", body, x=x, y=y, text_anchor=text_anchor, **font, **attributes)
+
+
 def grouped_bar_svg(rows, value_attr: str, title: str, ylabel: str) -> str:
     """Render one grouped bar chart (groups = ratios, bars = algorithms)."""
     ratios = sorted({r.ratio for r in rows})
@@ -148,28 +165,24 @@ def grouped_bar_svg(rows, value_attr: str, title: str, ylabel: str) -> str:
         clipped = max(0.0, min(y_max, value))
         return margin_top + plot_h * (1.0 - clipped / y_max)
 
+    def rule(y, stroke: str) -> str:
+        """A horizontal line across the plot at height ``y``."""
+        return _element(
+            "line", x1=margin_left, y1=y, x2=margin_left + plot_w, y2=y, stroke=stroke, stroke_width=1
+        )
+
+    mid_y = f"{margin_top + plot_h / 2:.1f}"
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15" font-weight="bold">{title}</text>',
-        f'<text x="14" y="{margin_top + plot_h / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="11" '
-        f'transform="rotate(-90 14 {margin_top + plot_h / 2:.1f})">{ylabel}</text>',
+        _element("rect", width=width, height=height, fill="white"),
+        _text(f"{width / 2:.1f}", 24, 15, title, font_weight="bold"),
+        _text(14, mid_y, 11, ylabel, transform=f"rotate(-90 14 {mid_y})"),
     ]
     # Horizontal gridlines and tick labels.
     for i in range(5):
         tick = y_max * i / 4
         ty = y_px(tick)
-        parts.append(
-            f'<line x1="{margin_left}" y1="{ty:.1f}" x2="{margin_left + plot_w}" '
-            f'y2="{ty:.1f}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{margin_left - 6}" y="{ty + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{_format_value(tick)}</text>'
-        )
+        parts.append(rule(f"{ty:.1f}", "#dddddd"))
+        parts.append(_text(margin_left - 6, f"{ty + 4:.1f}", 10, _format_value(tick), "end"))
     # Bars.
     for gi, ratio in enumerate(ratios):
         group_x = margin_left + gi * (group_w + group_gap)
@@ -180,32 +193,20 @@ def grouped_bar_svg(rows, value_attr: str, title: str, ylabel: str) -> str:
             x = group_x + bi * (bar_w + bar_gap)
             top = y_px(value)
             bar_h = margin_top + plot_h - top
-            parts.append(
-                f'<rect class="bar" x="{x:.1f}" y="{top:.1f}" width="{bar_w}" '
-                f'height="{bar_h:.1f}" fill="{_PALETTE[tag]}"/>'
-            )
-            parts.append(
-                f'<text x="{x + bar_w / 2:.1f}" y="{top - 4:.1f}" '
-                f'text-anchor="middle" font-family="sans-serif" '
-                f'font-size="9">{_format_value(value)}</text>'
-            )
-            parts.append(
-                f'<text x="{x + bar_w / 2:.1f}" y="{margin_top + plot_h + 14:.1f}" '
-                f'text-anchor="middle" font-family="sans-serif" '
-                f'font-size="10">{tag}</text>'
-            )
-        parts.append(
-            f'<text x="{group_x + group_w / 2:.1f}" '
-            f'y="{margin_top + plot_h + 34:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">ratio {ratio}</text>'
-        )
-    parts.append(
-        f'<line x1="{margin_left}" y1="{margin_top + plot_h}" '
-        f'x2="{margin_left + plot_w}" y2="{margin_top + plot_h}" '
-        f'stroke="black" stroke-width="1"/>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+            parts.append(_element(
+                "rect", class_="bar", x=f"{x:.1f}", y=f"{top:.1f}", width=bar_w,
+                height=f"{bar_h:.1f}", fill=_PALETTE[tag],
+            ))
+            center = f"{x + bar_w / 2:.1f}"
+            parts.append(_text(center, f"{top - 4:.1f}", 9, _format_value(value)))
+            parts.append(_text(center, f"{margin_top + plot_h + 14:.1f}", 10, tag))
+        label_x = f"{group_x + group_w / 2:.1f}"
+        parts.append(_text(label_x, f"{margin_top + plot_h + 34:.1f}", 12, f"ratio {ratio}"))
+    parts.append(rule(margin_top + plot_h, "black"))
+    return _element(
+        "svg", "\n".join(["", *parts, ""]), xmlns="http://www.w3.org/2000/svg", width=width,
+        height=height, viewBox=f"0 0 {width} {height}",
+    ) + "\n"
 
 
 def _rows_for_ratio(rows, ratio):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tetrascale
-from tetrascale import GrayImage, load_pgm, save_pgm
+from tetrascale import GrayImage, interpolate, load_pgm, save_pgm
 from tetrascale.cli import main
 
 from conftest import gray
@@ -121,6 +121,39 @@ class TestMetricsCommand:
         other = tmp_path / "small.pgm"
         save_pgm(gray(12, 12, [0] * 144), other)
         assert main(["metrics", str(sample_pgm), str(other)]) == 3
+
+    def test_reference_over_the_pixel_limit_is_data_error(self, sample_pgm, monkeypatch, capsys):
+        """The scorer refuses a reference of more than ``resize``'s
+        ``MAX_OUTPUT_PIXELS`` pixels before it allocates anything. The limit
+        is patched down to the 16x16 image's size: a PGM over the real
+        limit with a header alone fails to load first."""
+        monkeypatch.setattr(interpolate, "MAX_OUTPUT_PIXELS", 16 * 16)
+        assert main(["metrics", str(sample_pgm), str(sample_pgm)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(interpolate, "MAX_OUTPUT_PIXELS", 16 * 16 - 1)
+        allocations = []
+        monkeypatch.setattr(np, "empty", lambda *args, **kwargs: allocations.append(args))
+        assert main(["metrics", str(sample_pgm), str(sample_pgm)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "tetrascale: error: image 16x16 exceeds 255 pixels\n"
+        assert allocations == []
+
+    def test_running_out_of_memory_is_data_error(self, sample_pgm, monkeypatch, capsys):
+        """A ``MemoryError`` that escapes a command ends it with exit 3 and
+        one line on stderr, not a traceback."""
+
+        def empty(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.00 KiB for an array with shape (16, 16)")
+
+        monkeypatch.setattr(np, "empty", empty)
+        assert main(["metrics", str(sample_pgm), str(sample_pgm)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "tetrascale: out of memory: Unable to allocate 2.00 KiB for an array with shape "
+            "(16, 16)\n"
+        )
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 1

@@ -56,6 +56,28 @@ def formula_image(height=64, width=96):
     return GrayImage(pixels)
 
 
+#: (scheme, domain) -> the bytes per source pixel that a 2048x2048 downscale
+#: in one thread may allocate at ratios 0.5, 0.3 and 0.1. The intensity
+#: domain changes only AT and AC.
+DOWNSCALE_BOUNDS = {
+    ("TN", "raw"): (1.2, 0.9, 0.6),
+    ("TB", "raw"): (1.1, 1.0, 0.9),
+    ("TC", "raw"): (1.7, 1.8, 1.5),
+    ("MD", "raw"): (1.1, 1.0, 0.9),
+    ("HR", "raw"): (1.1, 1.0, 0.9),
+    ("AT", "raw"): (1.5, 1.3, 1.0),
+    ("AT", "unit"): (1.9, 1.8, 1.2),
+    ("AC", "raw"): (1.8, 1.6, 1.2),
+    ("AC", "unit"): (2.3, 2.1, 1.5),
+}
+
+
+@pytest.fixture(scope="module")
+def square_2048():
+    """``formula_image(2048, 2048)``, built once: it takes about 0.2 s."""
+    return formula_image(2048, 2048)
+
+
 def allocation_peak(call):
     """``call()``'s result and the peak bytes that tracemalloc saw it
     allocate."""
@@ -518,6 +540,30 @@ class TestResizeDispatch:
         img = formula_image(*shape)
         out, peak = allocation_peak(lambda: resize(img, ratio, scheme, domain))
         assert peak / out.pixels.size < bound
+
+    @pytest.mark.parametrize(
+        "scheme,domain,ratio,bound",
+        [
+            pytest.param(scheme, domain, ratio, bound, id=f"{scheme}-{domain}-x{ratio}")
+            for (scheme, domain), bounds in DOWNSCALE_BOUNDS.items()
+            for ratio, bound in zip((0.5, 0.3, 0.1), bounds)
+        ],
+    )
+    def test_downscale_allocation_peak_per_source_pixel(
+        self, scheme, domain, ratio, bound, square_2048, monkeypatch
+    ):
+        """Peak bytes allocated by one downscale of a 2048x2048 image in one
+        thread, per source pixel, which bounds a strong downscale better
+        than per output pixel does: the source rows a band reads and its
+        column grids scale with the source width, not the output's. Each
+        bound in ``DOWNSCALE_BOUNDS`` is the peak measured with numpy 2.4
+        plus less than 0.5 B per source pixel (ratio 0.5 / 0.3 / 0.1): TN
+        0.76 / 0.39 / 0.11; TB, MD and HR 0.62 / 0.57 / 0.43; TC 1.20 / 1.39
+        / 1.01; AT raw 1.03 / 0.88 / 0.59 and unit 1.48 / 1.31 / 0.79; AC
+        raw 1.36 / 1.16 / 0.72 and unit 1.86 / 1.64 / 1.04."""
+        monkeypatch.setattr(_bands, "_WORKERS", 1)
+        _, peak = allocation_peak(lambda: resize(square_2048, ratio, scheme, domain))
+        assert peak / square_2048.pixels.size < bound
 
     @pytest.mark.parametrize(
         "scheme,domain,shape,ratio",

